@@ -22,6 +22,7 @@ __all__ = [
     "KernelSpec",
     "kernel_eval",
     "kernel_matrix",
+    "kernel_factors",
     "MassUniformBreakage",
     "DiscreteFragmentsBreakage",
     "BreakageSpec",
@@ -102,6 +103,25 @@ def kernel_matrix(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
         for j, yj in enumerate(y):
             out[i, j] = kernel.fn(float(xi), float(yj))
     return out
+
+
+def kernel_factors(
+    kernel: KernelSpec, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rank-1 factors ``(a, b)`` with ``K(x[i], y[j]) = a[i] * b[j]``.
+
+    The shipped kernels are separable, ``K(x, y) = K(x, 1) K(1, y) / K(1, 1)``,
+    so the factors are one column and one row of the rate table.  Returns
+    ``None`` for ``CustomKernel``, which has no known factorisation.
+    """
+    if isinstance(kernel, CustomKernel):
+        return None
+    unit = np.ones(1)
+    a = kernel_matrix(kernel, x, unit)[:, 0]
+    pivot = kernel_eval(kernel, 1.0, 1.0)
+    if pivot == 0.0:  # the zero kernel: a is zero already
+        return a, np.zeros(np.size(y))
+    return a, kernel_matrix(kernel, unit, y)[0] / pivot
 
 
 # --------------------------------------------------------------------------

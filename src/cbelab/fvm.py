@@ -1,11 +1,9 @@
-"""Semi-discrete finite-volume solver with precomputed fragmentation weights
-and explicit time integration.
+"""Semi-discrete finite-volume solver and explicit time integration.
 
-The birth term assigns fragments produced by parents in cell ``j`` to target
-cells ``i <= j`` through the integrated fragment density ``w[i, j]``; when the
-parent sits in the target cell itself, the fragment integral stops at the cell
-midpoint (a parent at the midpoint cannot produce fragments larger than
-itself).  This keeps the discrete fragment count per event exact.
+The right-hand side is the shared collision operator (``collision``) with the
+cell rule for discrete fragments: fragments produced by parents in cell ``j``
+land in target cells ``i <= j``, and the discrete fragment count per event is
+exact.
 """
 
 from __future__ import annotations
@@ -16,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import RK45
 
-from .cases import CaseSpec, DiscreteFragmentsBreakage, MassUniformBreakage, kernel_matrix
+from .cases import CaseSpec
+from .collision import CollisionOperator, FragWeights, birth_map
 from .errors import DivergenceError, DomainError, StiffnessError
 from .grid import Grid, GridFunction, project_initial, quad_moment
 
@@ -30,55 +29,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class FragWeights:
-    """Integrated fragment densities ``w[i, j]`` for target cell i, parent cell j.
-
-    Zero below the diagonal: fragments are never larger than their parent.
-    """
-
-    grid: Grid
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=float)
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
-
-
 def precompute_weights(grid: Grid, breakage) -> FragWeights:
-    """Fragment redistribution table for one breakage law on one grid."""
-    mid, edges, widths = grid.midpoints, grid.edges, grid.widths
-    cells = grid.cells
-    table = np.zeros((cells, cells))
-    if isinstance(breakage, MassUniformBreakage):
-        for i in range(cells):
-            upper = np.where(np.arange(cells) == i, mid[i], edges[i + 1])
-            table[i, i:] = 2.0 * (upper[i:] - edges[i]) / mid[i:]
-    elif isinstance(breakage, DiscreteFragmentsBreakage):
-        # each delta lands wholly in the half-open cell containing it;
-        # a hit exactly on an edge belongs to the right cell
-        for ratio in breakage.ratio_floats:
-            positions = ratio * mid
-            target = np.searchsorted(edges, positions, side="right") - 1
-            for j, i in enumerate(target):
-                i = int(i)
-                upper = mid[i] if i == j else edges[i + 1]
-                if edges[i] <= positions[j] < upper:
-                    table[i, j] += 1.0
-    else:
-        raise DomainError(f"unsupported breakage law {type(breakage).__name__}")
-    return FragWeights(grid=grid, table=table)
+    """Cell-rule birth map for one breakage law on one grid.
 
-
-def _rhs_values(
-    widths: np.ndarray, table: np.ndarray, rates: np.ndarray, f: np.ndarray
-) -> np.ndarray:
-    # collision flux per parent: s_j = sum_l K(j, l) f_l w_l, reused by both terms
-    g = f * widths
-    s = rates @ g
-    birth = table @ (g * s)
-    return birth / widths - f * s
+    Applying it costs O(N); the dense ``table`` view is built only on access.
+    """
+    return birth_map(grid, breakage)
 
 
 def fvm_rhs(
@@ -87,8 +43,7 @@ def fvm_rhs(
     """Time derivative of the cell averages under collision-induced breakage."""
     if f.grid is not grid or weights.grid is not grid:
         raise DomainError("grid, weights and state must share the same grid")
-    rates = kernel_matrix(kernel, grid.midpoints, grid.midpoints)
-    return GridFunction(grid, _rhs_values(grid.widths, weights.table, rates, f.values))
+    return GridFunction(grid, CollisionOperator(weights, kernel).rhs(f.values))
 
 
 @dataclass(frozen=True)
@@ -208,9 +163,7 @@ def integrate(
             f"last output time {out_times[-1]} exceeds the case horizon {case.tend}"
         )
 
-    weights = precompute_weights(grid, case.breakage)
-    rates = kernel_matrix(case.kernel, grid.midpoints, grid.midpoints)
-    widths, table = grid.widths, weights.table
+    operator = CollisionOperator(precompute_weights(grid, case.breakage), case.kernel)
     y0 = project_initial(case.init, grid).values.copy()
 
     evaluations = 0
@@ -218,7 +171,7 @@ def integrate(
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        return _rhs_values(widths, table, rates, y)
+        return operator.rhs(y)
 
     if out_times.size == 1:
         raw, steps = [y0.copy()], 0

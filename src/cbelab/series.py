@@ -18,13 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cases import (
-    CaseSpec,
-    DiscreteFragmentsBreakage,
-    MassUniformBreakage,
-    kernel_matrix,
-    registry_case,
-)
+from .cases import CaseSpec, MassUniformBreakage, registry_case
+from .collision import CollisionOperator, birth_map, cauchy_product
 from .errors import (
     DomainError,
     GridMismatchError,
@@ -124,25 +119,18 @@ def _poly_antider(p: np.ndarray) -> np.ndarray:
     return np.vstack([np.zeros((1, p.shape[1])), p * factors[:, None]])
 
 
-def _bilinear(op, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Apply a bilinear grid operator across the time-polynomial product."""
-    out = np.zeros((p.shape[0] + q.shape[0] - 1, p.shape[1]))
-    for a in range(p.shape[0]):
-        if not p[a].any():
-            continue
-        for b in range(q.shape[0]):
-            if not q[b].any():
-                continue
-            out[a + b] += op(p[a], q[b])
-    return out
-
-
 def poly_mul(p: TimePoly, q: TimePoly) -> TimePoly:
     """Cauchy product in time, pointwise per cell."""
     if p.grid is not q.grid:
         raise GridMismatchError("polynomials live on different grids")
-    out = _bilinear(lambda a, b: a * b, p.coeffs, q.coeffs)
-    return TimePoly(p.grid, out)
+    return TimePoly(p.grid, cauchy_product(p.coeffs, q.coeffs))
+
+
+def _checked(coeffs: np.ndarray, what: str) -> np.ndarray:
+    """Computed coefficients, which must be finite (a numerical failure, not bad input)."""
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericalError(f"{what} has non-finite coefficients")
+    return coeffs
 
 
 def poly_antiderivative(p: TimePoly) -> TimePoly:
@@ -154,51 +142,9 @@ def poly_antiderivative(p: TimePoly) -> TimePoly:
 # collision operators on grid functions
 # --------------------------------------------------------------------------
 
-class _CollisionOps:
-    """Precomputed matrices for the birth and death integrals on one grid."""
-
-    def __init__(self, grid: Grid, kernel, breakage) -> None:
-        self.grid = grid
-        mid, widths = grid.midpoints, grid.widths
-        cells = grid.cells
-        rates = kernel_matrix(kernel, mid, mid)
-        self.flux = rates * widths[None, :]  # row j: K(mid_j, mid_l) * width_l
-        if isinstance(breakage, MassUniformBreakage):
-            table = np.zeros((cells, cells))
-            for i in range(cells):
-                table[i, i:] = (2.0 / mid[i:]) * widths[i:]
-                table[i, i] *= 0.5  # parent integral starts at the midpoint
-            self.table = table
-            self.sift = None
-        elif isinstance(breakage, DiscreteFragmentsBreakage):
-            sift = []
-            for ratio in breakage.ratio_floats:
-                sources = mid / ratio
-                keep = sources <= grid.rmax
-                flux_at = kernel_matrix(kernel, sources, mid) * widths[None, :]
-                sift.append((ratio, sources, keep, flux_at))
-            self.table = None
-            self.sift = sift
-        else:
-            raise DomainError(f"unsupported breakage law {type(breakage).__name__}")
-
-    def death(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return g * (self.flux @ h)
-
-    def birth(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        if self.table is not None:
-            return self.table @ (g * (self.flux @ h))
-        mid = self.grid.midpoints
-        out = np.zeros(self.grid.cells)
-        for ratio, sources, keep, flux_at in self.sift:
-            parent = np.where(keep, np.interp(sources, mid, g), 0.0)
-            out += (1.0 / ratio) * parent * (flux_at @ h)
-        return out
-
-
 @lru_cache(maxsize=8)
-def _collision_ops(grid: Grid, kernel, breakage) -> _CollisionOps:
-    return _CollisionOps(grid, kernel, breakage)
+def _collision_ops(grid: Grid, kernel, breakage) -> CollisionOperator:
+    return CollisionOperator(birth_map(grid, breakage, interpolated=True), kernel)
 
 
 def death_apply(kernel, g: GridFunction, h: GridFunction) -> GridFunction:
@@ -268,13 +214,11 @@ def ham_terms(case: CaseSpec, grid: Grid, order: int, alpha: float) -> SeriesSol
     for m in range(1, order + 1):
         conv = np.zeros((1, grid.cells))
         for k in range(m):
-            pk, qk = terms[k], terms[m - 1 - k]
-            pair = _poly_add(_bilinear(ops.death, pk, qk), _bilinear(ops.birth, pk, qk), -1.0)
-            conv = _poly_add(conv, pair)
+            conv = _poly_add(conv, ops.collide(terms[k], terms[m - 1 - k]), -1.0)
         fm = alpha * _poly_antider(conv)
         if m > 1:
             fm = _poly_add(fm, terms[m - 1], scale=1.0 + alpha)
-        terms.append(fm)
+        terms.append(_checked(fm, f"ham term {m}"))
     return SeriesSolution(
         method="ham",
         case=case,
@@ -298,15 +242,10 @@ def ahpm_terms(case: CaseSpec, grid: Grid, order: int) -> SeriesSolution:
     terms = [np.atleast_2d(f0)]
     partial = terms[0].copy()
     for n in range(1, order + 1):
-        gain = _poly_add(
-            _bilinear(ops.birth, partial, partial),
-            _bilinear(ops.death, partial, partial),
-            -1.0,
-        )
-        fn = _poly_antider(gain)
+        fn = _poly_antider(ops.collide(partial, partial))
         for prev in terms[1:]:
             fn = _poly_add(fn, prev, scale=-1.0)
-        terms.append(fn)
+        terms.append(_checked(fn, f"ahpm term {n}"))
         partial = _poly_add(partial, fn)
     return SeriesSolution(
         method="ahpm",
@@ -351,13 +290,9 @@ def residual(
         raise DomainError(f"order {m} exceeds the series order {len(terms) - 1}")
     ops = _collision_ops(grid, case.kernel, case.breakage)
     theta = _stack_terms(terms, m)
-    gain = _poly_add(
-        _bilinear(ops.birth, theta, theta),
-        _bilinear(ops.death, theta, theta),
-        -1.0,
-    )
-    defect = _poly_add(theta, _poly_antider(gain), scale=-1.0)
+    defect = _poly_add(theta, _poly_antider(ops.collide(theta, theta)), scale=-1.0)
     defect[0] -= project_initial(case.init, grid).values
+    _checked(defect, f"order-{m} residual")
     return GridFunction(grid, _poly_eval(defect, t))
 
 

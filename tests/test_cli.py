@@ -127,6 +127,17 @@ class TestSolveCommand:
         )
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_series_maps_to_exit_3(self, tmp_path):
+        # AHPM term degrees double with the order and overflow on a wide domain
+        code = main(
+            [
+                "solve", "--case", "ex1", "--method", "ahpm", "--order", "9",
+                "--cells", "20", "--rmax", "200", "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == EXIT_NUMERICAL
+
 
 class TestEocCommand:
     def test_rejects_non_doubling_cells(self, tmp_path):
