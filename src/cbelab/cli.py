@@ -41,9 +41,10 @@ from .errors import (
     StiffnessError,
     UnknownCaseError,
 )
+from .collision import brute_force_rhs
 from .fvm import fvm_rhs, integrate, precompute_weights
 from .grid import GridFunction, build_grid, l1_distance, l1_norm, quad_moment
-from .metrics import EocReport, abs_error_grid, consecutive_term_norm, eoc, number_error
+from .metrics import abs_error_grid, consecutive_term_norm, eoc, number_error
 from .series import (
     ahpm_terms,
     ham_terms,
@@ -59,7 +60,18 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _METHODS = ("fvm", "ham", "ahpm")
-_FIGURES = ("table1", "fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7")
+# figure id: (case, series order, table kind); the kinds are in ``_TABLES``
+_FIGURES = {
+    "table1": ("ex1", 5, "eoc"),
+    "fig1": ("ex1", 5, "concentration"),
+    "fig2": ("ex1", 5, "moments"),
+    "fig3a": ("ex2", 5, "concentration"),
+    "fig3b": ("ex2", 5, "term_norms"),
+    "fig4": ("ex2", 5, "moments"),
+    "fig5": ("ex3", 3, "concentration"),
+    "fig6": ("ex3", 3, "moments"),
+    "fig7": ("ex1", 5, "abs_error"),
+}
 
 
 class UsageError(Exception):
@@ -100,12 +112,18 @@ class RunConfig:
             if not (-1.0 <= value < 0.0):
                 raise UsageError(f"fixed alpha must lie in [-1, 0), got {value}")
         try:
-            case = registry_case(self.case)
-            with_overrides(case, rmax=self.rmax, tend=self.tend)
-        except UnknownCaseError as exc:
+            case = self.resolved_case()
+        except (UnknownCaseError, DomainError) as exc:
             raise UsageError(str(exc)) from exc
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
+        # the same bounds ``integrate`` enforces, for every method
+        if self.times is not None and not (
+            all(0.0 <= t <= case.tend + 1e-12 for t in self.times)
+            and all(a < b for a, b in zip(self.times, self.times[1:]))
+        ):
+            raise UsageError(
+                f"times must be non-negative, strictly ascending and at most the "
+                f"horizon {case.tend}, got {list(self.times)}"
+            )
         return self
 
     def resolved_case(self) -> CaseSpec:
@@ -219,112 +237,121 @@ def _write_run_json(path: Path, payload: dict) -> None:
 
 
 # --------------------------------------------------------------------------
+# solver runs
+# --------------------------------------------------------------------------
+
+_CONCENTRATION_HEADER = ["case", "method", "order", "alpha", "time", "size", "value"]
+_MOMENT_HEADER = ["case", "method", "time", "m0", "m1", "m2"]
+_EOC_HEADER = ["case", "method", "cells", "error", "eoc"]
+_TABLE1_CELLS = (30, 60, 120, 240)
+
+
+def _output_times(case: CaseSpec, times=None) -> tuple[float, ...]:
+    """``times``, or 11 equally spaced times up to the horizon; always from 0."""
+    times = tuple(times or np.linspace(0.0, case.tend, 11))
+    return times if times[0] == 0.0 else (0.0,) + times
+
+
+def _run(case: CaseSpec, grid, method: str, order: int, alpha: float | None, times):
+    """Profiles of one method at ``times``, plus its FVM solution or series.
+
+    The one place that dispatches on the method; only ham reads ``alpha``.
+    """
+    if method == "fvm":
+        solution = integrate(case, grid, times)
+        return list(solution.snapshots), solution
+    if method == "ham":
+        series = ham_terms(case, grid, order, alpha)
+    else:
+        series = ahpm_terms(case, grid, order)
+    return [truncated_sum(series, order, t) for t in times], series
+
+
+class _Runs:
+    """Runs on uniform grids at the 11 output times up to the horizon, each
+    (case, method, order, cells) computed at most once per invocation.
+
+    ham uses ``alpha``, or the case's published value when it is None.  RK45
+    steps do not depend on the output times, so the horizon profile is the
+    one a run to the horizon alone gives.
+    """
+
+    def __init__(self, alpha: float | None = None) -> None:
+        self.alpha = alpha
+        self._done: dict[tuple, tuple] = {}
+
+    def __call__(self, case: CaseSpec, method: str, order: int, cells: int):
+        """``(grid, profiles, FVM solution or series)`` of one run."""
+        key = (case.id, method, order, cells)
+        if key not in self._done:
+            grid = build_grid(case.rmax, cells)
+            alpha = case.reference_alpha if self.alpha is None else self.alpha
+            self._done[key] = (grid, *_run(case, grid, method, order, alpha, _output_times(case)))
+        return self._done[key]
+
+
+def _concentration_rows(case, method, order, alpha, grid, times, profiles) -> list[list]:
+    # fvm has no series order; only ham has a control parameter
+    order = None if method == "fvm" else order
+    alpha = alpha if method == "ham" else None
+    return [
+        [case.id, method, order, alpha, float(t), float(size), float(value)]
+        for t, profile in zip(times, profiles)
+        for size, value in zip(grid.midpoints, profile.values)
+    ]
+
+
+def _moment_rows(case, method, times, profiles) -> list[list]:
+    return [
+        [case.id, method, float(t)] + [quad_moment(g, n) for n in (0, 1, 2)]
+        for t, g in zip(times, profiles)
+    ]
+
+
+def _eoc_rows(case, method: str, cells, order: int, runs: _Runs) -> list[list]:
+    """Total-number error at the horizon on doubling grids, with its order."""
+    errors = []
+    for count in cells:
+        grid, profiles, _ = runs(case, method, order, count)
+        errors.append(number_error(profiles[-1], case, grid, case.tend))
+    orders = [None] + [eoc(a, b) for a, b in zip(errors, errors[1:])]
+    return [[case.id, method, c, e, o] for c, e, o in zip(cells, errors, orders)]
+
+
+# --------------------------------------------------------------------------
 # solve
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResultBundle:
-    """Everything one command produced, ready for emission."""
-
-    config: RunConfig
-    concentration_rows: list[list]
-    moment_rows: list[list]
-    eoc_report: EocReport | None = None
-    alpha_star: float | None = None
-    averaged_residual: float | None = None
-    fvm_steps: int | None = None
-
-
-def _resolve_alpha(config: RunConfig, case, grid) -> tuple[float, float | None]:
-    """Fixed or optimised control parameter, plus the residual when optimised."""
-    if config.alpha == "auto":
-        result = optimize_alpha(case, grid, config.order)
-        return result.alpha, result.averaged_residual
-    return float(config.alpha), None
-
-
-def _solve_tables(config: RunConfig) -> ResultBundle:
-    case = config.resolved_case()
-    grid = build_grid(case.rmax, config.cells, config.grid_scheme, config.eps_min)
-    times = config.times or tuple(np.linspace(0.0, case.tend, 11))
-    if times[0] != 0.0:
-        times = (0.0,) + tuple(times)
-    alpha_star = None
-    residual_star = None
-    steps = None
-    order_label: int | None = config.order
-
-    if config.method == "fvm":
-        solution = integrate(case, grid, times)
-        snapshots = list(zip(solution.times, solution.snapshots))
-        moments = [tuple(row) for row in solution.moments]
-        steps = solution.step_count
-        alpha_label = None
-        order_label = None
-    else:
-        if config.method == "ham":
-            alpha_star, residual_star = _resolve_alpha(config, case, grid)
-            series = ham_terms(case, grid, config.order, alpha_star)
-            alpha_label = alpha_star
-        else:
-            series = ahpm_terms(case, grid, config.order)
-            alpha_label = None
-        snapshots = [
-            (t, truncated_sum(series, config.order, t)) for t in times
-        ]
-        moments = [
-            tuple(quad_moment(g, n) for n in (0, 1, 2)) for _, g in snapshots
-        ]
-
-    conc_rows = []
-    for t, snapshot in snapshots:
-        for size, value in zip(grid.midpoints, snapshot.values):
-            conc_rows.append(
-                [case.id, config.method, order_label, alpha_label, float(t), float(size), float(value)]
-            )
-    moment_rows = [
-        [case.id, config.method, float(t), m0, m1, m2]
-        for (t, _), (m0, m1, m2) in zip(snapshots, moments)
-    ]
-    return ResultBundle(
-        config=config,
-        concentration_rows=conc_rows,
-        moment_rows=moment_rows,
-        alpha_star=alpha_star,
-        averaged_residual=residual_star,
-        fvm_steps=steps,
-    )
-
-
 def cmd_solve(config: RunConfig) -> int:
     started = time.perf_counter()
-    bundle = _solve_tables(config)
-    outdir = Path(config.outdir)
+    case = config.resolved_case()
+    grid = build_grid(case.rmax, config.cells, config.grid_scheme, config.eps_min)
+    times = _output_times(case, config.times)
     chash = config.hash()
+    payload = {"config": asdict(config), "config_hash": chash, "version": __version__}
+    alpha = None
+    if config.method == "ham":
+        if config.alpha == "auto":
+            result = optimize_alpha(case, grid, config.order)
+            alpha = result.alpha
+            payload["averaged_residual"] = result.averaged_residual
+        else:
+            alpha = float(config.alpha)
+        payload["alpha_star"] = alpha
+    profiles, solved = _run(case, grid, config.method, config.order, alpha, times)
+    if config.method == "fvm":
+        payload["fvm_steps"] = solved.step_count
+    outdir = Path(config.outdir)
     _write_csv(
         outdir / "concentration.csv",
         chash,
-        ["case", "method", "order", "alpha", "time", "size", "value"],
-        bundle.concentration_rows,
+        _CONCENTRATION_HEADER,
+        _concentration_rows(case, config.method, config.order, alpha, grid, times, profiles),
     )
     _write_csv(
-        outdir / "moments.csv",
-        chash,
-        ["case", "method", "time", "m0", "m1", "m2"],
-        bundle.moment_rows,
+        outdir / "moments.csv", chash, _MOMENT_HEADER, _moment_rows(case, config.method, times, profiles)
     )
-    payload = {
-        "config": asdict(config),
-        "config_hash": chash,
-        "version": __version__,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-    if bundle.alpha_star is not None:
-        payload["alpha_star"] = bundle.alpha_star
-        if bundle.averaged_residual is not None:
-            payload["averaged_residual"] = bundle.averaged_residual
-    if bundle.fvm_steps is not None:
-        payload["fvm_steps"] = bundle.fvm_steps
+    payload["wall_time_s"] = round(time.perf_counter() - started, 6)
     _write_run_json(outdir / "run.json", payload)
     return EXIT_OK
 
@@ -332,37 +359,6 @@ def cmd_solve(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 # eoc
 # --------------------------------------------------------------------------
-
-def _eoc_report(case, method: str, cells: list[int], order: int, alpha: float | None) -> EocReport:
-    errors = []
-    for count in cells:
-        grid = build_grid(case.rmax, count)
-        if method == "fvm":
-            solution = integrate(case, grid, (0.0, case.tend))
-            approx = solution.snapshots[-1]
-        elif method == "ham":
-            series = ham_terms(case, grid, order, alpha)
-            approx = truncated_sum(series, order, case.tend)
-        else:
-            series = ahpm_terms(case, grid, order)
-            approx = truncated_sum(series, order, case.tend)
-        errors.append(number_error(approx, case, grid, case.tend))
-    orders = [None] + [eoc(a, b) for a, b in zip(errors, errors[1:])]
-    return EocReport(
-        case_id=case.id,
-        method=method,
-        cells=tuple(cells),
-        errors=tuple(errors),
-        orders=tuple(orders),
-    )
-
-
-def _eoc_rows(report: EocReport) -> list[list]:
-    return [
-        [report.case_id, report.method, count, err, order_entry]
-        for count, err, order_entry in zip(report.cells, report.errors, report.orders)
-    ]
-
 
 def cmd_eoc(config: RunConfig, cells: list[int]) -> int:
     case = config.resolved_case()
@@ -374,14 +370,13 @@ def cmd_eoc(config: RunConfig, cells: list[int]) -> int:
         raise UsageError("need at least two cell counts")
     if any(b != 2 * a for a, b in zip(cells, cells[1:])):
         raise UsageError(f"cell counts must double, got {cells}")
-    alpha = case.reference_alpha if config.alpha == "auto" else float(config.alpha)
-    report = _eoc_report(case, config.method, cells, config.order, alpha)
-    outdir = Path(config.outdir)
+    # 'auto' means the published control parameter, not an optimised one
+    runs = _Runs(None if config.alpha == "auto" else float(config.alpha))
     _write_csv(
-        outdir / "eoc.csv",
+        Path(config.outdir) / "eoc.csv",
         config.hash(),
-        ["case", "method", "cells", "error", "eoc"],
-        _eoc_rows(report),
+        _EOC_HEADER,
+        _eoc_rows(case, config.method, cells, config.order, runs),
     )
     return EXIT_OK
 
@@ -389,54 +384,34 @@ def cmd_eoc(config: RunConfig, cells: list[int]) -> int:
 # --------------------------------------------------------------------------
 # reproduce
 # --------------------------------------------------------------------------
+# Row builders take (case, series order, cells, runs); every method runs at
+# the published control parameter.
 
-def _series_for(case, grid, method: str, order: int):
-    if method == "ham":
-        return ham_terms(case, grid, order, case.reference_alpha)
-    return ahpm_terms(case, grid, order)
+def _eoc_table(case, order, cells, runs) -> list[list]:
+    return [
+        row for method in _METHODS for row in _eoc_rows(case, method, _TABLE1_CELLS, order, runs)
+    ]
 
 
-def _figure_concentration(case_id: str, t: float, order: int, cells: int, chash, outdir):
-    case = registry_case(case_id)
-    grid = build_grid(case.rmax, cells)
+def _concentration_table(case, order, cells, runs) -> list[list]:
     rows = []
-    solution = integrate(case, grid, (0.0, t))
-    for size, value in zip(grid.midpoints, solution.snapshots[-1].values):
-        rows.append([case.id, "fvm", None, None, t, float(size), float(value)])
-    for method in ("ham", "ahpm"):
-        series = _series_for(case, grid, method, order)
-        snapshot = truncated_sum(series, order, t)
-        alpha = case.reference_alpha if method == "ham" else None
-        for size, value in zip(grid.midpoints, snapshot.values):
-            rows.append([case.id, method, order, alpha, t, float(size), float(value)])
+    for method in _METHODS:
+        grid, profiles, _ = runs(case, method, order, cells)
+        rows += _concentration_rows(
+            case, method, order, case.reference_alpha, grid, [case.tend], profiles[-1:]
+        )
     if case.exact.concentration is not None:
-        exact = exact_concentration(case, t, grid.midpoints)
-        for size, value in zip(grid.midpoints, exact):
-            rows.append([case.id, "exact", None, None, t, float(size), float(value)])
-    _write_csv(
-        outdir / "concentration.csv",
-        chash,
-        ["case", "method", "order", "alpha", "time", "size", "value"],
-        rows,
-    )
+        exact = GridFunction(grid, exact_concentration(case, case.tend, grid.midpoints))
+        rows += _concentration_rows(case, "exact", None, None, grid, [case.tend], [exact])
+    return rows
 
 
-def _figure_moments(case_id: str, order: int, cells: int, chash, outdir):
-    case = registry_case(case_id)
-    grid = build_grid(case.rmax, cells)
-    times = np.linspace(0.0, case.tend, 11)
+def _moment_table(case, order, cells, runs) -> list[list]:
+    times = _output_times(case)
     rows = []
-    solution = integrate(case, grid, times)
-    for t, (m0, m1, m2) in zip(solution.times, solution.moments):
-        rows.append([case.id, "fvm", float(t), float(m0), float(m1), float(m2)])
-    for method in ("ham", "ahpm"):
-        series = _series_for(case, grid, method, order)
-        for t in times:
-            g = truncated_sum(series, order, float(t))
-            rows.append(
-                [case.id, method, float(t)]
-                + [quad_moment(g, n) for n in (0, 1, 2)]
-            )
+    for method in _METHODS:
+        _, profiles, _ = runs(case, method, order, cells)
+        rows += _moment_rows(case, method, times, profiles)
     for t in times:
         entry = [case.id, "exact", float(t)]
         for n in (0, 1, 2):
@@ -445,94 +420,50 @@ def _figure_moments(case_id: str, order: int, cells: int, chash, outdir):
             except CbelabError:
                 entry.append(None)
         rows.append(entry)
-    _write_csv(
-        outdir / "moments.csv",
-        chash,
-        ["case", "method", "time", "m0", "m1", "m2"],
-        rows,
-    )
+    return rows
 
 
-def _figure_term_norms(case_id: str, order: int, cells: int, chash, outdir):
-    case = registry_case(case_id)
-    grid = build_grid(case.rmax, cells)
-    rows = []
-    for method in ("ham", "ahpm"):
-        series = _series_for(case, grid, method, order)
-        for m in range(1, order + 1):
-            rows.append([case.id, method, m, consecutive_term_norm(series, m)])
-    _write_csv(
-        outdir / "term_norms.csv",
-        chash,
-        ["case", "method", "m", "l1_norm"],
-        rows,
-    )
+def _term_norm_table(case, order, cells, runs) -> list[list]:
+    return [
+        [case.id, method, m, consecutive_term_norm(runs(case, method, order, cells)[2], m)]
+        for method in ("ham", "ahpm")
+        for m in range(1, order + 1)
+    ]
 
 
-def _figure_abs_error(case_id: str, t: float, order: int, cells: int, chash, outdir):
-    case = registry_case(case_id)
-    grid = build_grid(case.rmax, cells)
-    rows = []
-    solution = integrate(case, grid, (0.0, t))
-    err = abs_error_grid(solution.snapshots[-1], case, t)
-    for size, value in zip(grid.midpoints, err.values):
-        rows.append([case.id, "fvm", t, float(size), float(value)])
-    for method in ("ham", "ahpm"):
-        series = _series_for(case, grid, method, order)
-        err = abs_error_grid(truncated_sum(series, order, t), case, t)
-        for size, value in zip(grid.midpoints, err.values):
-            rows.append([case.id, method, t, float(size), float(value)])
-    _write_csv(
-        outdir / "abs_error.csv",
-        chash,
-        ["case", "method", "time", "size", "abs_error"],
-        rows,
-    )
-
-
-def _figure_table1(cells: list[int], order: int, chash, outdir):
-    case = registry_case("ex1")
+def _abs_error_table(case, order, cells, runs) -> list[list]:
     rows = []
     for method in _METHODS:
-        report = _eoc_report(case, method, cells, order, case.reference_alpha)
-        rows.extend(_eoc_rows(report))
-    _write_csv(
-        outdir / "eoc.csv",
-        chash,
-        ["case", "method", "cells", "error", "eoc"],
-        rows,
-    )
+        grid, profiles, _ = runs(case, method, order, cells)
+        err = abs_error_grid(profiles[-1], case, case.tend)
+        rows += [
+            [case.id, method, case.tend, float(size), float(value)]
+            for size, value in zip(grid.midpoints, err.values)
+        ]
+    return rows
+
+
+# table kind: (file name, CSV header, row builder)
+_TABLES = {
+    "eoc": ("eoc.csv", _EOC_HEADER, _eoc_table),
+    "concentration": ("concentration.csv", _CONCENTRATION_HEADER, _concentration_table),
+    "moments": ("moments.csv", _MOMENT_HEADER, _moment_table),
+    "term_norms": ("term_norms.csv", ["case", "method", "m", "l1_norm"], _term_norm_table),
+    "abs_error": ("abs_error.csv", ["case", "method", "time", "size", "abs_error"], _abs_error_table),
+}
 
 
 def cmd_reproduce(target: str, outdir_root: str, cells: int = 300) -> int:
-    if target == "all":
-        targets = list(_FIGURES)
-    elif target in _FIGURES:
-        targets = [target]
-    else:
+    if target != "all" and target not in _FIGURES:
         raise UsageError(f"unknown figure id {target!r}; known: all, {', '.join(_FIGURES)}")
-    base_config = RunConfig(case="ex1", cells=cells, outdir=outdir_root)
-    chash = base_config.hash()
+    targets = list(_FIGURES) if target == "all" else [target]
+    chash = RunConfig(case="ex1", cells=cells, outdir=outdir_root).hash()
+    runs = _Runs()
     for name in targets:
-        outdir = Path(outdir_root) / name
-        if name == "table1":
-            _figure_table1([30, 60, 120, 240], 5, chash, outdir)
-        elif name == "fig1":
-            _figure_concentration("ex1", 1.0, 5, cells, chash, outdir)
-        elif name == "fig2":
-            _figure_moments("ex1", 5, cells, chash, outdir)
-        elif name == "fig3a":
-            _figure_concentration("ex2", 1.0, 5, cells, chash, outdir)
-        elif name == "fig3b":
-            _figure_term_norms("ex2", 5, cells, chash, outdir)
-        elif name == "fig4":
-            _figure_moments("ex2", 5, cells, chash, outdir)
-        elif name == "fig5":
-            _figure_concentration("ex3", 0.5, 3, cells, chash, outdir)
-        elif name == "fig6":
-            _figure_moments("ex3", 3, cells, chash, outdir)
-        elif name == "fig7":
-            _figure_abs_error("ex1", 1.0, 5, cells, chash, outdir)
+        case_id, order, kind = _FIGURES[name]
+        filename, header, build_rows = _TABLES[kind]
+        rows = build_rows(registry_case(case_id), order, cells, runs)
+        _write_csv(Path(outdir_root) / name / filename, chash, header, rows)
     return EXIT_OK
 
 
@@ -610,27 +541,17 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
     by_pair: dict[tuple[str, str], list[int]] = {}
     for case_id, method, m in oracle_table():
         by_pair.setdefault((case_id, method), []).append(m)
-    worst = ("", 0.0)
-    oracle_ok = True
+    errors = []
     for (case_id, method), orders in by_pair.items():
         case = registry_case(case_id)
-        if method == "ham":
-            series = ham_terms(case, grid, max(orders), case.reference_alpha)
-        else:
-            series = ahpm_terms(case, grid, max(orders))
+        _, series = _run(case, grid, method, max(orders), case.reference_alpha, ())
         for m in orders:
-            alpha = case.reference_alpha if method == "ham" else None
-            reference = oracle_terms(case_id, method, m, grid, alpha=alpha)
             num = series.terms[m].eval(case.tend)
-            ref = reference.eval(case.tend)
+            ref = oracle_terms(case_id, method, m, grid, alpha=series.alpha).eval(case.tend)
             rel = l1_distance(num, ref) / max(l1_norm(ref), 1e-300)
-            if rel > worst[1]:
-                worst = (f"{case_id}/{method}/m={m}", rel)
-            if rel > 1e-3:
-                oracle_ok = False
-    checks.append(
-        ("oracle-equivalence", oracle_ok, f"worst {worst[0]} rel L1 {worst[1]:.2e}")
-    )
+            errors.append((rel, f"{case_id}/{method}/m={m}"))
+    worst, label = max(errors)
+    checks.append(("oracle-equivalence", worst <= 1e-3, f"worst {label} rel L1 {worst:.2e}"))
 
     degree_ok = all(
         term.degree <= m
@@ -649,7 +570,7 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
     weights = precompute_weights(small, case1.breakage)
     f = GridFunction(small, rng.uniform(0.0, 1.0, small.cells))
     fast = fvm_rhs(small, weights, case1.kernel, f).values
-    slow = _brute_force_rhs(small, weights.table, case1, f.values)
+    slow = brute_force_rhs(small, weights.table, case1.kernel, f.values)
     checks.append(
         (
             "rhs-brute-force",
@@ -658,30 +579,6 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
         )
     )
     return checks
-
-
-def _brute_force_rhs(grid, table, case, f):
-    mid, w = grid.midpoints, grid.widths
-    n = grid.cells
-    out = np.zeros(n)
-    for i in range(n):
-        birth = 0.0
-        for j in range(i, n):
-            for l in range(n):
-                birth += (
-                    kernel_eval(case.kernel, mid[j], mid[l])
-                    * f[j]
-                    * f[l]
-                    * w[j]
-                    * w[l]
-                    * table[i, j]
-                )
-        death = sum(
-            kernel_eval(case.kernel, mid[i], mid[j]) * f[i] * f[j] * w[j]
-            for j in range(n)
-        )
-        out[i] = birth / w[i] - death
-    return out
 
 
 def cmd_validate(outdir: str | None) -> int:

@@ -28,7 +28,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .cases import DiscreteFragmentsBreakage, MassUniformBreakage, kernel_factors, kernel_matrix
+from .cases import (
+    DiscreteFragmentsBreakage,
+    MassUniformBreakage,
+    kernel_eval,
+    kernel_factors,
+    kernel_matrix,
+)
 from .errors import DomainError
 from .grid import Grid
 
@@ -36,6 +42,7 @@ __all__ = [
     "FragWeights",
     "CollisionOperator",
     "birth_map",
+    "brute_force_rhs",
     "cauchy_product",
 ]
 
@@ -199,3 +206,28 @@ class CollisionOperator:
     def rhs(self, f: np.ndarray) -> np.ndarray:
         """Time derivative ``gain - loss`` of the state ``f``."""
         return self.birth(f, f) - self.death(f, f)
+
+
+def brute_force_rhs(grid: Grid, table: np.ndarray, kernel, f: np.ndarray) -> np.ndarray:
+    """Reference ``gain - loss`` by the direct triple loop over cells.
+
+    Reads only ``kernel_eval`` and the dense birth ``table``, so it checks the
+    factored operator above independently.  O(N^3): small grids only.
+    """
+    mid, w = grid.midpoints, grid.widths
+    n = grid.cells
+    out = np.zeros(n)
+    for i in range(n):
+        birth = 0.0
+        for j in range(i, n):
+            for l in range(n):
+                birth += (
+                    kernel_eval(kernel, mid[j], mid[l])
+                    * f[j] * f[l] * w[j] * w[l] * table[i, j]
+                )
+        death = sum(
+            kernel_eval(kernel, mid[i], mid[j]) * f[i] * f[j] * w[j]
+            for j in range(n)
+        )
+        out[i] = birth / w[i] - death
+    return out

@@ -1,26 +1,5 @@
 """Shared reference implementations used as independent test oracles."""
 
-import numpy as np
+from cbelab.collision import brute_force_rhs
 
-from cbelab import kernel_eval
-
-
-def brute_force_rhs(grid, table, kernel, f):
-    """Direct triple-loop evaluation of the semi-discrete collision terms."""
-    mid, w = grid.midpoints, grid.widths
-    n = grid.cells
-    out = np.zeros(n)
-    for i in range(n):
-        birth = 0.0
-        for j in range(i, n):
-            for l in range(n):
-                birth += (
-                    kernel_eval(kernel, mid[j], mid[l])
-                    * f[j] * f[l] * w[j] * w[l] * table[i, j]
-                )
-        death = sum(
-            kernel_eval(kernel, mid[i], mid[j]) * f[i] * f[j] * w[j]
-            for j in range(n)
-        )
-        out[i] = birth / w[i] - death
-    return out
+__all__ = ["brute_force_rhs"]

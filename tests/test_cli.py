@@ -5,6 +5,7 @@ import pytest
 
 from cbelab import DivergenceError
 from cbelab.cli import (
+    _FIGURES as FIGURES,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -115,6 +116,42 @@ class TestSolveCommand:
         code = main(["solve", "--case", "ex9", "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("method", ["fvm", "ham", "ahpm"])
+    @pytest.mark.parametrize("times", ["0,0.5,5", "0.5,0.2", "-0.1,0.5"])
+    def test_bad_times_are_usage_errors(self, tmp_path, method, times):
+        # past the horizon, descending or negative: no method extrapolates
+        code = main(
+            [
+                "solve", "--case", "ex1", "--method", method, "--alpha", "-0.8",
+                "--order", "3", "--cells", "40", f"--times={times}",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+
+    def test_times_checked_against_overridden_horizon(self):
+        assert build_config({}, {"case": "ex1", "tend": 2.0, "times": (0.0, 1.5)})
+        with pytest.raises(UsageError, match="horizon"):
+            build_config({}, {"case": "ex1", "tend": 0.5, "times": (0.0, 0.75)})
+
+    def test_rerun_differs_only_in_wall_time(self, tmp_path):
+        args = [
+            "solve", "--case", "ex1", "--method", "fvm", "--cells", "40",
+            "--times", "0,0.5,1", "--out", str(tmp_path / "run"),
+        ]
+        outputs = []
+        for _ in range(2):
+            assert main(args) == EXIT_OK
+            run_info = json.loads((tmp_path / "run" / "run.json").read_text())
+            assert run_info.pop("wall_time_s") >= 0.0
+            files = {
+                name: (tmp_path / "run" / name).read_bytes()
+                for name in ("concentration.csv", "moments.csv")
+            }
+            outputs.append((run_info, files))
+        assert outputs[0] == outputs[1]
+
     def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         import cbelab.cli as cli_module
 
@@ -193,6 +230,42 @@ class TestReproduceCommand:
         rows = (out / "fig6" / "moments.csv").read_text().splitlines()[2:]
         methods = {row.split(",")[1] for row in rows}
         assert methods == {"fvm", "ham", "ahpm", "exact"}
+
+
+@pytest.fixture(scope="module")
+def reproduce_all(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reproduce") / "all"
+    assert main(["reproduce", "all", "--out", str(out), "--cells", "40"]) == EXIT_OK
+    return out
+
+
+class TestReproduceSharesRuns:
+    def test_each_run_computed_once(self, tmp_path, monkeypatch):
+        import cbelab.cli as cli_module
+
+        calls = {"integrate": 0, "ham_terms": 0, "ahpm_terms": 0}
+
+        def counted(name):
+            solver = getattr(cli_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return solver(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli_module, name, counted(name))
+        assert main(["reproduce", "all", "--out", str(tmp_path), "--cells", "40"]) == EXIT_OK
+        # table1: four grids per method; ex1, ex2 and ex3 one run per method each
+        assert calls == {"integrate": 7, "ham_terms": 7, "ahpm_terms": 7}
+
+    @pytest.mark.parametrize("figure", list(FIGURES))
+    def test_single_figure_matches_all(self, tmp_path, reproduce_all, figure):
+        assert main(["reproduce", figure, "--out", str(tmp_path), "--cells", "40"]) == EXIT_OK
+        (alone,) = (tmp_path / figure).iterdir()
+        assert [p.name for p in (reproduce_all / figure).iterdir()] == [alone.name]
+        assert read_body(alone) == read_body(reproduce_all / figure / alone.name)
 
 
 class TestValidateCommand:
