@@ -136,6 +136,16 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _reject_unused(config: RunConfig, command: str, *keys: str) -> None:
+    """Refuse settings ``command`` does not read, from flags or a config file:
+    they would change the config hash but not the result."""
+    defaults = RunConfig(case=config.case)
+    unused = [key for key in keys if getattr(config, key) != getattr(defaults, key)]
+    if unused:
+        flags = ", ".join("--" + key.replace("_", "-") for key in unused)
+        raise UsageError(f"{command} does not use {flags}")
+
+
 def _parse_float(text: str, name: str) -> float:
     try:
         return float(text)
@@ -341,6 +351,7 @@ def cmd_solve(config: RunConfig) -> int:
     profiles, solved = _run(case, grid, config.method, config.order, alpha, times)
     if config.method == "fvm":
         payload["fvm_steps"] = solved.step_count
+        payload["rhs_evaluations"] = solved.rhs_evaluations
     outdir = Path(config.outdir)
     _write_csv(
         outdir / "concentration.csv",
@@ -361,6 +372,8 @@ def cmd_solve(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_eoc(config: RunConfig, cells: list[int]) -> int:
+    # every eoc grid is uniform and every error is read at the horizon
+    _reject_unused(config, "eoc", "grid_scheme", "eps_min", "times")
     case = config.resolved_case()
     if case.exact.concentration is None:
         raise UsageError(
@@ -472,6 +485,7 @@ def cmd_reproduce(target: str, outdir_root: str, cells: int = 300) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_optimize_alpha(config: RunConfig) -> int:
+    _reject_unused(config, "optimize-alpha", "alpha", "times")
     started = time.perf_counter()
     case = config.resolved_case()
     grid = build_grid(case.rmax, config.cells, config.grid_scheme, config.eps_min)

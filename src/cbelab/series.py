@@ -50,9 +50,6 @@ __all__ = [
     "taylor_term",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 # --------------------------------------------------------------------------
 # time polynomials
 # --------------------------------------------------------------------------
@@ -360,14 +357,15 @@ def optimize_alpha(
     colloc: CollocationSpec | None = None,
     lo: float = -1.0,
     hi: float = -0.01,
-    scan_step: float = 0.005,
-    refine_tol: float = 1e-4,
 ) -> AlphaResult:
-    """Minimise the averaged squared residual over the control parameter.
+    """Global minimum of the averaged squared residual over ``[lo, hi]``.
 
-    A coarse scan over ``[lo, hi]`` brackets the minimum, then golden-section
-    refinement narrows it to ``refine_tol``.  Scanning is robust to the
-    multiple local minima the residual polynomial can develop.
+    HAM term ``m`` is a polynomial of degree ``m`` in the control parameter, so
+    the order-``order`` residual has degree ``2 * order`` and its mean square
+    degree ``4 * order``.  Samples at ``4 * order + 1`` Chebyshev nodes fix that
+    polynomial; its minimum lies at an endpoint or at a real root of its
+    derivative.  Each such candidate is evaluated again and the smallest true
+    value is returned.
     """
     if order < 1:
         raise DomainError("optimisation needs a series order >= 1")
@@ -381,31 +379,16 @@ def optimize_alpha(
             raise NumericalError(f"averaged residual is not finite at alpha={a:.6f}")
         return value
 
-    candidates = np.arange(lo, hi + 0.5 * scan_step, scan_step)
-    candidates[-1] = min(candidates[-1], hi)
-    values = [objective(float(a)) for a in candidates]
-    best = int(np.argmin(values))
-    best_alpha, best_value = float(candidates[best]), values[best]
-
-    a = float(candidates[max(best - 1, 0)])
-    b = float(candidates[min(best + 1, len(candidates) - 1)])
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > refine_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-    refined = c if fc < fd else d
-    refined_value = fc if fc < fd else fd
-    if refined_value < best_value:
-        best_alpha, best_value = refined, refined_value
-    return AlphaResult(alpha=best_alpha, averaged_residual=best_value)
+    fit = np.polynomial.Chebyshev.interpolate(
+        np.vectorize(objective, otypes=[float]), 4 * order, domain=(lo, hi)
+    )
+    roots = fit.deriv().roots()
+    # the eigenvalue solver may leave a round-off imaginary part on a real root
+    real = roots.real[np.abs(roots.imag) <= 1e-9]
+    candidates = (lo, hi, *real[(lo < real) & (real < hi)])
+    values = {float(a): objective(float(a)) for a in candidates}
+    best = min(values, key=values.get)
+    return AlphaResult(alpha=best, averaged_residual=values[best])
 
 
 # --------------------------------------------------------------------------

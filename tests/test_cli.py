@@ -75,6 +75,8 @@ class TestSolveCommand:
         run_info = json.loads((out / "run.json").read_text())
         assert run_info["config"]["cells"] == 80
         assert run_info["fvm_steps"] > 0
+        # RK45 evaluates the right-hand side several times per accepted step
+        assert run_info["rhs_evaluations"] > run_info["fvm_steps"]
 
     def test_series_solve_records_alpha(self, tmp_path):
         out = tmp_path / "run"
@@ -209,6 +211,40 @@ class TestEocCommand:
         assert first[4] == ""  # no order on the first grid
         assert float(first[3]) > float(second[3])
         assert float(second[4]) > 0.0
+
+
+class TestUnusedSettings:
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("eoc", "grid_scheme", "geometric"),
+            ("eoc", "eps_min", "0.01"),
+            ("eoc", "times", "0,0.5"),
+            ("optimize-alpha", "alpha", "-0.5"),
+            ("optimize-alpha", "times", "0,0.5"),
+        ],
+    )
+    def test_unused_settings_are_usage_errors(self, tmp_path, capsys, command, key, value, source):
+        out = tmp_path / "x"
+        args = [command, "--case", "ex1", "--cells", "20", "--out", str(out)]
+        if command == "eoc":
+            args += ["--method", "fvm", "--cell-list", "20,40"]
+        if source == "flag":
+            args += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == EXIT_USAGE
+        assert "does not use" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_values_are_accepted(self, tmp_path):
+        eoc_args = ["eoc", "--case", "ex1", "--method", "fvm", "--cell-list", "20,40"]
+        assert main(eoc_args + ["--grid-scheme", "uniform", "--out", str(tmp_path / "e")]) == EXIT_OK
+        alpha_args = ["optimize-alpha", "--case", "ex1", "--order", "2", "--cells", "20"]
+        assert main(alpha_args + ["--alpha", "auto", "--out", str(tmp_path / "a")]) == EXIT_OK
 
 
 class TestReproduceCommand:

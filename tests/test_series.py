@@ -342,6 +342,29 @@ class TestOptimizeAlpha:
         assert result.averaged_residual <= averaged_residual(ex1, grid, 5, -1.0)
         assert result.averaged_residual <= averaged_residual(ex1, grid, 5, -0.5)
 
+    def test_objective_evaluations_bounded_by_degree(self, ex1, monkeypatch):
+        import cbelab.series as series_module
+
+        calls = []
+        evaluate = series_module.averaged_residual
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(series_module, "averaged_residual", counted)
+        optimize_alpha(ex1, build_grid(ex1.rmax, 120), 5)
+        # the order-5 objective is a polynomial of degree 4 * 5 in alpha
+        assert 0 < len(calls) <= 2 * (4 * 5 + 1)
+
+    def test_global_minimum_beats_fine_scan(self, ex1):
+        grid = build_grid(ex1.rmax, 60)
+        result = optimize_alpha(ex1, grid, 3)
+        scan = min(averaged_residual(ex1, grid, 3, a) for a in np.arange(-1.0, -0.01, 0.005))
+        assert result.averaged_residual <= scan
+        # the reported value is a true evaluation, not the interpolant
+        assert result.averaged_residual == averaged_residual(ex1, grid, 3, result.alpha)
+
     def test_interval_validation(self, ex1):
         grid = build_grid(ex1.rmax, 40)
         with pytest.raises(DomainError):
