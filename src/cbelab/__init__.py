@@ -56,7 +56,6 @@ from .grid import (
     weighted_norm,
 )
 from .metrics import (
-    EocReport,
     MomentTable,
     abs_error_grid,
     consecutive_term_norm,

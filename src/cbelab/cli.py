@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,33 +82,53 @@ class UsageError(Exception):
 # configuration
 # --------------------------------------------------------------------------
 
+def _parse_times(text: str) -> tuple[float, ...]:
+    values = tuple(float(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise ValueError("empty times list")
+    return values
+
+
+def _setting(default=MISSING, *, parse=str, help=None, choices=None, flag=None):
+    """A ``RunConfig`` field with the parser that reads it from flags and config
+    files alike, its help text and choices, and its flag (default ``--key``)."""
+    meta = {"parse": parse, "help": help, "choices": choices, "flag": flag}
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective settings of one command invocation."""
+    """Effective settings of one command invocation; each field is one flag
+    and one config-file key."""
 
-    case: str
-    method: str = "fvm"
-    order: int = 5
-    cells: int = 300
-    grid_scheme: str = "uniform"
-    eps_min: float | None = None
-    alpha: str = "auto"
-    rmax: float | None = None
-    tend: float | None = None
-    times: tuple[float, ...] | None = None
-    outdir: str = "runs"
+    case: str = _setting(help=f"benchmark case id ({', '.join(case_ids())})")
+    method: str = _setting("fvm", choices=_METHODS)
+    order: int = _setting(5, parse=int, help="series truncation order")
+    cells: int = _setting(300, parse=int, help="grid cell count")
+    grid_scheme: str = _setting("uniform", choices=("uniform", "geometric"))
+    eps_min: float | None = _setting(None, parse=float, help="first interior edge (geometric grids)")
+    alpha: str = _setting("auto", help="'auto' or a fixed value in [-1, 0)")
+    rmax: float | None = _setting(None, parse=float, help="truncation radius override")
+    tend: float | None = _setting(None, parse=float, help="time horizon override")
+    times: tuple[float, ...] | None = _setting(None, parse=_parse_times, help="comma-separated output times")
+    outdir: str = _setting("runs", help="output directory", flag="--out")
 
     def validated(self) -> "RunConfig":
-        if self.method not in _METHODS:
-            raise UsageError(f"method must be one of {_METHODS}, got {self.method!r}")
+        for setting in fields(self):
+            value, choices = getattr(self, setting.name), setting.metadata["choices"]
+            if choices and value not in choices:
+                raise UsageError(f"{setting.name} must be one of {choices}, got {value!r}")
         if self.order < 0:
             raise UsageError("order must be non-negative")
         if self.cells < 2:
             raise UsageError("cells must be at least 2")
-        if self.grid_scheme not in ("uniform", "geometric"):
-            raise UsageError(f"unknown grid scheme {self.grid_scheme!r}")
+        if self.eps_min is not None and self.grid_scheme == "uniform":
+            raise UsageError("the uniform grid scheme does not use --eps-min")
         if self.alpha != "auto":
-            value = _parse_float(self.alpha, "alpha")
+            try:
+                value = float(self.alpha)
+            except ValueError:
+                raise UsageError(f"cannot parse alpha={self.alpha!r} as a number") from None
             if not (-1.0 <= value < 0.0):
                 raise UsageError(f"fixed alpha must lie in [-1, 0), got {value}")
         try:
@@ -131,36 +151,46 @@ class RunConfig:
 
     def hash(self) -> str:
         # identifies the result-determining settings; the output path is not one
-        fields = {k: v for k, v in asdict(self).items() if k != "outdir"}
-        canon = "\n".join(f"{key}={value}" for key, value in sorted(fields.items()))
+        values = {k: v for k, v in asdict(self).items() if k != "outdir"}
+        canon = "\n".join(f"{key}={value}" for key, value in sorted(values.items()))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _reject_unused(config: RunConfig, command: str, *keys: str) -> None:
+_SETTINGS = {setting.name: setting for setting in fields(RunConfig)}
+
+
+def _flag(key: str) -> str:
+    return _SETTINGS[key].metadata["flag"] or "--" + key.replace("_", "-")
+
+
+_EOC_UNREAD = {"cells", "grid_scheme", "eps_min", "times"}
+# command: {method: settings it does not read}; a method missing from a row is
+# refused.  eoc runs uniform grids at its --cell-list counts and reads errors at
+# the horizon; optimize-alpha optimises ham whatever the method (fvm is the
+# default).
+_UNREAD = {
+    "solve": {"fvm": {"order", "alpha"}, "ham": set(), "ahpm": {"alpha"}},
+    "eoc": {
+        "fvm": _EOC_UNREAD | {"order", "alpha"},
+        "ham": _EOC_UNREAD,
+        "ahpm": _EOC_UNREAD | {"alpha"},
+    },
+    "optimize-alpha": {"fvm": {"alpha", "times"}, "ham": {"alpha", "times"}},
+}
+
+
+def _reject_unread(command: str, config: RunConfig) -> None:
     """Refuse settings ``command`` does not read, from flags or a config file:
     they would change the config hash but not the result."""
-    defaults = RunConfig(case=config.case)
-    unused = [key for key in keys if getattr(config, key) != getattr(defaults, key)]
-    if unused:
-        flags = ", ".join("--" + key.replace("_", "-") for key in unused)
-        raise UsageError(f"{command} does not use {flags}")
-
-
-def _parse_float(text: str, name: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"cannot parse {name}={text!r} as a number") from None
-
-
-def _parse_times(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise UsageError(f"cannot parse times {text!r}") from None
-    if not values:
-        raise UsageError("empty times list")
-    return values
+    row = _UNREAD[command]
+    if config.method not in row:
+        raise UsageError(f"{command} does not use --method {config.method}")
+    unread = [
+        key for key in _SETTINGS
+        if key in row[config.method] and getattr(config, key) != _SETTINGS[key].default
+    ]
+    if unread:
+        raise UsageError(f"{command} does not use {', '.join(map(_flag, unread))}")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -181,30 +211,14 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_CONFIG_KEYS = {
-    "case": str,
-    "method": str,
-    "order": int,
-    "cells": int,
-    "grid_scheme": str,
-    "eps_min": float,
-    "alpha": str,
-    "rmax": float,
-    "tend": float,
-    "times": _parse_times,
-    "outdir": str,
-}
-
-
 def build_config(file_values: dict[str, str], cli_values: dict) -> RunConfig:
     """Merge config-file entries with CLI flags; flags win."""
     merged: dict = {}
     for key, value in file_values.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise UsageError(f"unknown config key {key!r}")
-        caster = _CONFIG_KEYS[key]
         try:
-            merged[key] = caster(value)
+            merged[key] = _SETTINGS[key].metadata["parse"](value)
         except ValueError:
             raise UsageError(f"bad value for config key {key!r}: {value!r}") from None
     for key, value in cli_values.items():
@@ -372,8 +386,6 @@ def cmd_solve(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_eoc(config: RunConfig, cells: list[int]) -> int:
-    # every eoc grid is uniform and every error is read at the horizon
-    _reject_unused(config, "eoc", "grid_scheme", "eps_min", "times")
     case = config.resolved_case()
     if case.exact.concentration is None:
         raise UsageError(
@@ -485,7 +497,6 @@ def cmd_reproduce(target: str, outdir_root: str, cells: int = 300) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_optimize_alpha(config: RunConfig) -> int:
-    _reject_unused(config, "optimize-alpha", "alpha", "times")
     started = time.perf_counter()
     case = config.resolved_case()
     grid = build_grid(case.rmax, config.cells, config.grid_scheme, config.eps_min)
@@ -622,35 +633,16 @@ def cmd_validate(outdir: str | None) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--case", help=f"benchmark case id ({', '.join(case_ids())})")
-    parser.add_argument("--method", choices=_METHODS)
-    parser.add_argument("--order", type=int, help="series truncation order")
-    parser.add_argument("--cells", type=int, help="grid cell count")
-    parser.add_argument("--grid-scheme", dest="grid_scheme", choices=("uniform", "geometric"))
-    parser.add_argument("--eps-min", dest="eps_min", type=float, help="first interior edge (geometric grids)")
-    parser.add_argument("--alpha", help="'auto' or a fixed value in [-1, 0)")
-    parser.add_argument("--rmax", type=float, help="truncation radius override")
-    parser.add_argument("--tend", type=float, help="time horizon override")
-    parser.add_argument("--times", help="comma-separated output times")
-    parser.add_argument("--out", dest="outdir", help="output directory")
+    for key, setting in _SETTINGS.items():
+        meta = setting.metadata
+        parser.add_argument(
+            _flag(key), dest=key, type=meta["parse"], choices=meta["choices"], help=meta["help"]
+        )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else {}
-    cli_values = {
-        "case": args.case,
-        "method": args.method,
-        "order": args.order,
-        "cells": args.cells,
-        "grid_scheme": args.grid_scheme,
-        "eps_min": args.eps_min,
-        "alpha": args.alpha,
-        "rmax": args.rmax,
-        "tend": args.tend,
-        "times": _parse_times(args.times) if args.times else None,
-        "outdir": args.outdir,
-    }
-    return build_config(file_values, cli_values)
+    return build_config(file_values, {key: getattr(args, key) for key in _SETTINGS})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -687,26 +679,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "reproduce":
+        return cmd_reproduce(args.target, args.outdir, args.cells)
+    if args.command == "validate":
+        if args.config:
+            build_config(load_config_file(args.config), {})
+        return cmd_validate(args.outdir)
+    config = _config_from_args(args)
+    _reject_unread(args.command, config)
     if args.command == "solve":
-        return cmd_solve(_config_from_args(args))
+        return cmd_solve(config)
     if args.command == "eoc":
         try:
             cells = [int(v) for v in args.cell_list.split(",") if v.strip()]
         except ValueError:
             raise UsageError(f"cannot parse cell list {args.cell_list!r}") from None
-        return cmd_eoc(_config_from_args(args), cells)
-    if args.command == "reproduce":
-        return cmd_reproduce(args.target, args.outdir, args.cells)
-    if args.command == "optimize-alpha":
-        config = _config_from_args(args)
-        if config.method == "fvm":
-            config = RunConfig(**{**asdict(config), "method": "ham"})
-        return cmd_optimize_alpha(config)
-    if args.command == "validate":
-        if args.config:
-            build_config(load_config_file(args.config), {})
-        return cmd_validate(args.outdir)
-    raise UsageError(f"unknown command {args.command!r}")
+        return cmd_eoc(config, cells)
+    if config.method == "fvm":
+        config = replace(config, method="ham")
+    return cmd_optimize_alpha(config)
 
 
 def main(argv: list[str] | None = None) -> int:

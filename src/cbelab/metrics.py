@@ -17,7 +17,6 @@ from .series import SeriesSolution, truncated_sum
 
 __all__ = [
     "MomentTable",
-    "EocReport",
     "moments_over_time",
     "abs_error_grid",
     "number_error",
@@ -46,22 +45,6 @@ class MomentTable:
         if order not in (0, 1, 2):
             raise DomainError("tabulated moments cover orders 0..2")
         return tuple(row[order] for row in self.rows)
-
-
-@dataclass(frozen=True)
-class EocReport:
-    """Doubling-grid error table; the first row has no convergence order."""
-
-    case_id: str
-    method: str
-    cells: tuple[int, ...]
-    errors: tuple[float, ...]
-    orders: tuple[float | None, ...]
-
-    def __post_init__(self) -> None:
-        counts = self.cells
-        if any(b != 2 * a for a, b in zip(counts, counts[1:])):
-            raise DomainError("cell counts must double between rows")
 
 
 def moments_over_time(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from cbelab import DivergenceError
 from cbelab.cli import (
     _FIGURES as FIGURES,
+    _build_parser,
+    _config_from_args,
+    _flag,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -120,7 +124,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("method", ["fvm", "ham", "ahpm"])
     @pytest.mark.parametrize("times", ["0,0.5,5", "0.5,0.2", "-0.1,0.5"])
-    def test_bad_times_are_usage_errors(self, tmp_path, method, times):
+    def test_bad_times_are_usage_errors(self, tmp_path, capsys, method, times):
         # past the horizon, descending or negative: no method extrapolates
         code = main(
             [
@@ -130,6 +134,7 @@ class TestSolveCommand:
             ]
         )
         assert code == EXIT_USAGE
+        assert "times" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_times_checked_against_overridden_horizon(self):
@@ -213,38 +218,93 @@ class TestEocCommand:
         assert float(second[4]) > 0.0
 
 
+# (command, method, key, value): ``value`` for ``key`` changes the config hash
+# but not the result; method None runs the command's default method
+_UNREAD_INPUTS = [
+    ("eoc", None, "grid_scheme", "geometric"),
+    ("eoc", None, "eps_min", "0.01"),
+    ("eoc", None, "times", "0,0.5"),
+    ("eoc", "ham", "cells", "20"),
+    ("eoc", "fvm", "order", "3"),
+    ("eoc", "fvm", "alpha", "-0.5"),
+    ("eoc", "ahpm", "alpha", "-0.5"),
+    ("solve", "fvm", "order", "3"),
+    ("solve", "fvm", "alpha", "-0.5"),
+    ("solve", "ahpm", "alpha", "-0.5"),
+    ("solve", "fvm", "eps_min", "0.01"),
+    ("optimize-alpha", None, "alpha", "-0.5"),
+    ("optimize-alpha", None, "times", "0,0.5"),
+    ("optimize-alpha", None, "method", "ahpm"),
+    ("optimize-alpha", None, "eps_min", "0.5"),
+]
+
+
 class TestUnusedSettings:
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize(
-        "command,key,value",
-        [
-            ("eoc", "grid_scheme", "geometric"),
-            ("eoc", "eps_min", "0.01"),
-            ("eoc", "times", "0,0.5"),
-            ("optimize-alpha", "alpha", "-0.5"),
-            ("optimize-alpha", "times", "0,0.5"),
-        ],
+        "command,method,key,value",
+        _UNREAD_INPUTS,
+        ids=["-".join(filter(None, entry)) for entry in _UNREAD_INPUTS],
     )
-    def test_unused_settings_are_usage_errors(self, tmp_path, capsys, command, key, value, source):
+    def test_unused_settings_are_usage_errors(
+        self, tmp_path, capsys, command, method, key, value, source
+    ):
         out = tmp_path / "x"
-        args = [command, "--case", "ex1", "--cells", "20", "--out", str(out)]
+        args = [command, "--case", "ex1", "--out", str(out)]
         if command == "eoc":
-            args += ["--method", "fvm", "--cell-list", "20,40"]
+            args += ["--method", method or "fvm", "--cell-list", "20,40"]
+        else:
+            args += ["--cells", "20"] + (["--method", method] if method else [])
+        flag = "--" + key.replace("_", "-")
         if source == "flag":
-            args += ["--" + key.replace("_", "-"), value]
+            args += [flag, value]
         else:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{key}={value}\n")
             args += ["--config", str(cfg)]
         assert main(args) == EXIT_USAGE
-        assert "does not use" in capsys.readouterr().err
+        assert f"does not use {flag}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_default_values_are_accepted(self, tmp_path):
         eoc_args = ["eoc", "--case", "ex1", "--method", "fvm", "--cell-list", "20,40"]
-        assert main(eoc_args + ["--grid-scheme", "uniform", "--out", str(tmp_path / "e")]) == EXIT_OK
+        eoc_args += ["--grid-scheme", "uniform", "--cells", "300"]
+        assert main(eoc_args + ["--out", str(tmp_path / "e")]) == EXIT_OK
         alpha_args = ["optimize-alpha", "--case", "ex1", "--order", "2", "--cells", "20"]
         assert main(alpha_args + ["--alpha", "auto", "--out", str(tmp_path / "a")]) == EXIT_OK
+        solve_args = ["solve", "--case", "ex1", "--method", "fvm", "--cells", "20", "--times", "0,1"]
+        solve_args += ["--order", "5", "--alpha", "auto"]
+        assert main(solve_args + ["--out", str(tmp_path / "s")]) == EXIT_OK
+
+
+# one text per setting, each differing from the default
+_SETTING_TEXTS = {
+    "case": "ex3",
+    "method": "ham",
+    "order": "3",
+    "cells": "64",
+    "grid_scheme": "geometric",
+    "eps_min": "0.01",
+    "alpha": "-0.7",
+    "rmax": "12.5",
+    "tend": "0.8",
+    "times": "0,0.25,0.5",
+    "outdir": "elsewhere",
+}
+
+
+@pytest.mark.parametrize("key", [setting.name for setting in fields(RunConfig)])
+def test_flag_and_config_file_parse_alike(tmp_path, key):
+    texts = {"case": "ex1", key: _SETTING_TEXTS[key]}
+    if key == "eps_min":
+        texts["grid_scheme"] = "geometric"  # uniform grids do not read it
+    flags = [f"{_flag(k)}={text}" for k, text in texts.items()]
+    from_flags = _config_from_args(_build_parser().parse_args(["solve", *flags]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k}={text}\n" for k, text in texts.items()))
+    from_file = _config_from_args(_build_parser().parse_args(["solve", "--config", str(cfg)]))
+    assert from_flags == from_file
+    assert from_flags != RunConfig(case="ex1")
 
 
 class TestReproduceCommand:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cbelab import (
     DomainError,
-    EocReport,
     GridFunction,
     NoExactReferenceError,
     SeriesSolution,
@@ -150,16 +149,6 @@ class TestEoc:
             eoc(0.0, 0.1)
         with pytest.raises(DomainError):
             eoc(0.1, -0.1)
-
-    def test_report_requires_doubling(self):
-        with pytest.raises(DomainError):
-            EocReport(
-                case_id="ex1",
-                method="fvm",
-                cells=(30, 50),
-                errors=(0.1, 0.05),
-                orders=(None, 1.0),
-            )
 
 
 class TestConsecutiveTermNorms:
