@@ -39,7 +39,6 @@ from .errors import (
 from .fvm import (
     FragWeights,
     FvmSolution,
-    StepperConfig,
     fvm_rhs,
     integrate,
     precompute_weights,

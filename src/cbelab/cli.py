@@ -89,6 +89,10 @@ def _parse_times(text: str) -> tuple[float, ...]:
     return values
 
 
+def _parse_cells(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
 def _setting(default=MISSING, *, parse=str, help=None, choices=None, flag=None):
     """A ``RunConfig`` field with the parser that reads it from flags and config
     files alike, its help text and choices, and its flag (default ``--key``)."""
@@ -233,24 +237,25 @@ def build_config(file_values: dict[str, str], cli_values: dict) -> RunConfig:
 # emission helpers
 # --------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def _text(value) -> str:
+    """One CSV entry: a finite float as ``%.12g``, None as empty, else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DivergenceError(f"non-finite value {value} in CSV output")
+        return f"{value:.12g}"
+    return str(value)
 
 
-def _write_csv(path: Path, config_hash: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, config_hash: str, header: list[str], blocks) -> None:
+    """Write ``(lead, columns)`` blocks: one row per index of the equal-length
+    ``columns``, each row starting with the block's ``lead`` values."""
     lines = [f"# config {config_hash}", ",".join(header)]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    raise DivergenceError(f"non-finite value while writing {path.name}")
-                cells.append(_fmt(value))
-            elif value is None:
-                cells.append("")
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+    for lead, columns in blocks:
+        prefix = "".join(_text(value) + "," for value in lead)
+        texts = [[_text(value) for value in column] for column in columns]
+        lines += (prefix + ",".join(row) for row in zip(*texts, strict=True))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
@@ -314,32 +319,24 @@ class _Runs:
         return self._done[key]
 
 
-def _concentration_rows(case, method, order, alpha, grid, times, profiles) -> list[list]:
+def _concentration_blocks(case, method, order, alpha, grid, times, profiles) -> list[tuple]:
     # fvm has no series order; only ham has a control parameter
-    order = None if method == "fvm" else order
-    alpha = alpha if method == "ham" else None
-    return [
-        [case.id, method, order, alpha, float(t), float(size), float(value)]
-        for t, profile in zip(times, profiles)
-        for size, value in zip(grid.midpoints, profile.values)
-    ]
+    lead = (case.id, method, None if method == "fvm" else order, alpha if method == "ham" else None)
+    return [(lead + (t,), (grid.midpoints, profile.values)) for t, profile in zip(times, profiles)]
 
 
-def _moment_rows(case, method, times, profiles) -> list[list]:
-    return [
-        [case.id, method, float(t)] + [quad_moment(g, n) for n in (0, 1, 2)]
-        for t, g in zip(times, profiles)
-    ]
+def _moment_block(case, method, times, profiles) -> tuple:
+    return (case.id, method), (times, *([quad_moment(g, n) for g in profiles] for n in (0, 1, 2)))
 
 
-def _eoc_rows(case, method: str, cells, order: int, runs: _Runs) -> list[list]:
+def _eoc_block(case, method: str, cells, order: int, runs: _Runs) -> tuple:
     """Total-number error at the horizon on doubling grids, with its order."""
     errors = []
     for count in cells:
         grid, profiles, _ = runs(case, method, order, count)
         errors.append(number_error(profiles[-1], case, grid, case.tend))
     orders = [None] + [eoc(a, b) for a, b in zip(errors, errors[1:])]
-    return [[case.id, method, c, e, o] for c, e, o in zip(cells, errors, orders)]
+    return (case.id, method), (cells, errors, orders)
 
 
 # --------------------------------------------------------------------------
@@ -371,10 +368,10 @@ def cmd_solve(config: RunConfig) -> int:
         outdir / "concentration.csv",
         chash,
         _CONCENTRATION_HEADER,
-        _concentration_rows(case, config.method, config.order, alpha, grid, times, profiles),
+        _concentration_blocks(case, config.method, config.order, alpha, grid, times, profiles),
     )
     _write_csv(
-        outdir / "moments.csv", chash, _MOMENT_HEADER, _moment_rows(case, config.method, times, profiles)
+        outdir / "moments.csv", chash, _MOMENT_HEADER, [_moment_block(case, config.method, times, profiles)]
     )
     payload["wall_time_s"] = round(time.perf_counter() - started, 6)
     _write_run_json(outdir / "run.json", payload)
@@ -401,7 +398,7 @@ def cmd_eoc(config: RunConfig, cells: list[int]) -> int:
         Path(config.outdir) / "eoc.csv",
         config.hash(),
         _EOC_HEADER,
-        _eoc_rows(case, config.method, cells, config.order, runs),
+        [_eoc_block(case, config.method, cells, config.order, runs)],
     )
     return EXIT_OK
 
@@ -409,66 +406,61 @@ def cmd_eoc(config: RunConfig, cells: list[int]) -> int:
 # --------------------------------------------------------------------------
 # reproduce
 # --------------------------------------------------------------------------
-# Row builders take (case, series order, cells, runs); every method runs at
-# the published control parameter.
+# Table builders take (case, series order, cells, runs) and return the blocks
+# of ``_write_csv``; every method runs at the published control parameter.
 
-def _eoc_table(case, order, cells, runs) -> list[list]:
-    return [
-        row for method in _METHODS for row in _eoc_rows(case, method, _TABLE1_CELLS, order, runs)
-    ]
+def _eoc_table(case, order, cells, runs) -> list[tuple]:
+    return [_eoc_block(case, method, _TABLE1_CELLS, order, runs) for method in _METHODS]
 
 
-def _concentration_table(case, order, cells, runs) -> list[list]:
-    rows = []
+def _concentration_table(case, order, cells, runs) -> list[tuple]:
+    blocks = []
     for method in _METHODS:
         grid, profiles, _ = runs(case, method, order, cells)
-        rows += _concentration_rows(
+        blocks += _concentration_blocks(
             case, method, order, case.reference_alpha, grid, [case.tend], profiles[-1:]
         )
     if case.exact.concentration is not None:
         exact = GridFunction(grid, exact_concentration(case, case.tend, grid.midpoints))
-        rows += _concentration_rows(case, "exact", None, None, grid, [case.tend], [exact])
-    return rows
+        blocks += _concentration_blocks(case, "exact", None, None, grid, [case.tend], [exact])
+    return blocks
 
 
-def _moment_table(case, order, cells, runs) -> list[list]:
+def _exact_moment_or_none(case, n: int, t: float) -> float | None:
+    try:
+        return exact_moment(case, n, t)
+    except CbelabError:
+        return None
+
+
+def _moment_table(case, order, cells, runs) -> list[tuple]:
     times = _output_times(case)
-    rows = []
-    for method in _METHODS:
-        _, profiles, _ = runs(case, method, order, cells)
-        rows += _moment_rows(case, method, times, profiles)
-    for t in times:
-        entry = [case.id, "exact", float(t)]
-        for n in (0, 1, 2):
-            try:
-                entry.append(exact_moment(case, n, float(t)))
-            except CbelabError:
-                entry.append(None)
-        rows.append(entry)
-    return rows
-
-
-def _term_norm_table(case, order, cells, runs) -> list[list]:
-    return [
-        [case.id, method, m, consecutive_term_norm(runs(case, method, order, cells)[2], m)]
-        for method in ("ham", "ahpm")
-        for m in range(1, order + 1)
+    blocks = [
+        _moment_block(case, method, times, runs(case, method, order, cells)[1]) for method in _METHODS
     ]
+    exact = ([_exact_moment_or_none(case, n, float(t)) for t in times] for n in (0, 1, 2))
+    return blocks + [((case.id, "exact"), (times, *exact))]
 
 
-def _abs_error_table(case, order, cells, runs) -> list[list]:
-    rows = []
+def _term_norm_table(case, order, cells, runs) -> list[tuple]:
+    ms = range(1, order + 1)
+    blocks = []
+    for method in ("ham", "ahpm"):
+        series = runs(case, method, order, cells)[2]
+        blocks.append(((case.id, method), (ms, [consecutive_term_norm(series, m) for m in ms])))
+    return blocks
+
+
+def _abs_error_table(case, order, cells, runs) -> list[tuple]:
+    blocks = []
     for method in _METHODS:
         grid, profiles, _ = runs(case, method, order, cells)
         err = abs_error_grid(profiles[-1], case, case.tend)
-        rows += [
-            [case.id, method, case.tend, float(size), float(value)]
-            for size, value in zip(grid.midpoints, err.values)
-        ]
-    return rows
+        blocks.append(((case.id, method, case.tend), (grid.midpoints, err.values)))
+    return blocks
 
 
-# table kind: (file name, CSV header, row builder)
+# table kind: (file name, CSV header, table builder)
 _TABLES = {
     "eoc": ("eoc.csv", _EOC_HEADER, _eoc_table),
     "concentration": ("concentration.csv", _CONCENTRATION_HEADER, _concentration_table),
@@ -486,9 +478,9 @@ def cmd_reproduce(target: str, outdir_root: str, cells: int = 300) -> int:
     runs = _Runs()
     for name in targets:
         case_id, order, kind = _FIGURES[name]
-        filename, header, build_rows = _TABLES[kind]
-        rows = build_rows(registry_case(case_id), order, cells, runs)
-        _write_csv(Path(outdir_root) / name / filename, chash, header, rows)
+        filename, header, build_table = _TABLES[kind]
+        blocks = build_table(registry_case(case_id), order, cells, runs)
+        _write_csv(Path(outdir_root) / name / filename, chash, header, blocks)
     return EXIT_OK
 
 
@@ -660,6 +652,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_eoc)
     p_eoc.add_argument(
         "--cell-list",
+        type=_parse_cells,
         default="30,60,120,240",
         help="comma-separated doubling cell counts",
     )
@@ -674,7 +667,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run oracle and invariant checks")
     p_val.add_argument("--out", dest="outdir", default=None)
-    p_val.add_argument("--config", default=None, help="optional config file to check")
     return parser
 
 
@@ -682,19 +674,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "reproduce":
         return cmd_reproduce(args.target, args.outdir, args.cells)
     if args.command == "validate":
-        if args.config:
-            build_config(load_config_file(args.config), {})
         return cmd_validate(args.outdir)
     config = _config_from_args(args)
     _reject_unread(args.command, config)
     if args.command == "solve":
         return cmd_solve(config)
     if args.command == "eoc":
-        try:
-            cells = [int(v) for v in args.cell_list.split(",") if v.strip()]
-        except ValueError:
-            raise UsageError(f"cannot parse cell list {args.cell_list!r}") from None
-        return cmd_eoc(config, cells)
+        return cmd_eoc(config, args.cell_list)
     if config.method == "fvm":
         config = replace(config, method="ham")
     return cmd_optimize_alpha(config)

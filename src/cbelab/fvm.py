@@ -22,7 +22,6 @@ from .grid import Grid, GridFunction, project_initial, quad_moment
 __all__ = [
     "FragWeights",
     "FvmSolution",
-    "StepperConfig",
     "precompute_weights",
     "fvm_rhs",
     "integrate",
@@ -46,25 +45,10 @@ def fvm_rhs(
     return GridFunction(grid, CollisionOperator(weights, kernel).rhs(f.values))
 
 
-@dataclass(frozen=True)
-class StepperConfig:
-    """Explicit time-stepper selection.
-
-    ``rk45`` is an adaptive embedded Runge-Kutta pair; ``rk4`` is the classical
-    fixed-step scheme with ``rk4_steps`` steps over the full horizon.
-    """
-
-    method: str = "rk45"
-    atol: float = 1e-8
-    rtol: float = 1e-6
-    rk4_steps: int = 200
-    min_step: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.method not in ("rk45", "rk4"):
-            raise DomainError(f"unknown stepper {self.method!r}")
-        if self.rk4_steps < 1:
-            raise DomainError("rk4_steps must be positive")
+# adaptive RK45 tolerances and the step size below which it gives up
+_ATOL = 1e-8
+_RTOL = 1e-6
+_MIN_STEP = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +70,9 @@ def _check_state(t: float, y: np.ndarray) -> None:
         raise DivergenceError(f"non-finite state at t={t:.6g}")
 
 
-def _integrate_rk45(rhs, y0, out_times, cfg: StepperConfig):
+def _integrate_rk45(rhs, y0, out_times):
     t_end = float(out_times[-1])
-    stepper = RK45(rhs, 0.0, y0, t_bound=t_end, atol=cfg.atol, rtol=cfg.rtol)
+    stepper = RK45(rhs, 0.0, y0, t_bound=t_end, atol=_ATOL, rtol=_RTOL)
     snapshots = [y0.copy()]
     next_idx = 1
     steps = 0
@@ -99,9 +83,9 @@ def _integrate_rk45(rhs, y0, out_times, cfg: StepperConfig):
         steps += 1
         if stepper.status == "failed":
             raise StiffnessError(f"adaptive step failed: {msg}")
-        if stepper.step_size is not None and stepper.step_size < cfg.min_step:
+        if stepper.step_size is not None and stepper.step_size < _MIN_STEP:
             raise StiffnessError(
-                f"step size {stepper.step_size:.3e} below {cfg.min_step:.0e}"
+                f"step size {stepper.step_size:.3e} below {_MIN_STEP:.0e}"
             )
         _check_state(stepper.t, stepper.y)
         dense = None
@@ -115,9 +99,9 @@ def _integrate_rk45(rhs, y0, out_times, cfg: StepperConfig):
     return snapshots, steps
 
 
-def _integrate_rk4(rhs, y0, out_times, cfg: StepperConfig):
+def _integrate_rk4(rhs, y0, out_times, rk4_steps: int):
     t_end = float(out_times[-1])
-    dt_target = t_end / cfg.rk4_steps
+    dt_target = t_end / rk4_steps
     snapshots = [y0.copy()]
     y = y0.copy()
     t = 0.0
@@ -144,13 +128,18 @@ def integrate(
     case: CaseSpec,
     grid: Grid,
     times,
-    stepper: StepperConfig = StepperConfig(),
+    rk4_steps: int | None = None,
 ) -> FvmSolution:
     """Advance the projected initial condition through the requested output times.
 
     ``times`` must be ascending, start at 0 and stay within the case horizon.
-    The snapshot at time 0 is the projected initial condition itself.
+    The snapshot at time 0 is the projected initial condition itself.  The
+    default stepper is an adaptive embedded Runge-Kutta pair (RK45); an int
+    ``rk4_steps`` selects the classical fixed-step RK4 scheme with that many
+    steps over the full horizon.
     """
+    if rk4_steps is not None and rk4_steps < 1:
+        raise DomainError("rk4_steps must be positive")
     out_times = np.asarray(times, dtype=float)
     if out_times.ndim != 1 or out_times.size < 1:
         raise DomainError("need at least one output time")
@@ -175,10 +164,10 @@ def integrate(
 
     if out_times.size == 1:
         raw, steps = [y0.copy()], 0
-    elif stepper.method == "rk45":
-        raw, steps = _integrate_rk45(rhs, y0, out_times, stepper)
+    elif rk4_steps is None:
+        raw, steps = _integrate_rk45(rhs, y0, out_times)
     else:
-        raw, steps = _integrate_rk4(rhs, y0, out_times, stepper)
+        raw, steps = _integrate_rk4(rhs, y0, out_times, rk4_steps)
 
     snapshots = tuple(GridFunction(grid, y) for y in raw)
     moments = np.array(

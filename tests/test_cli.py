@@ -2,6 +2,7 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cbelab import DivergenceError
@@ -10,6 +11,7 @@ from cbelab.cli import (
     _build_parser,
     _config_from_args,
     _flag,
+    _write_csv,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -193,6 +195,17 @@ class TestEocCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_malformed_cell_list_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "eoc", "--case", "ex1", "--method", "fvm",
+                    "--cell-list", "30,abc", "--out", str(tmp_path / "x"),
+                ]
+            )
+        assert exc.value.code == EXIT_USAGE
+        assert "--cell-list" in capsys.readouterr().err
+
     def test_requires_exact_concentration(self, tmp_path):
         code = main(
             [
@@ -373,11 +386,6 @@ class TestValidateCommand:
         names = {check["name"] for check in report["checks"]}
         assert "oracle-equivalence" in names
 
-    def test_validate_rejects_bad_config(self, tmp_path):
-        cfg = tmp_path / "broken.cfg"
-        cfg.write_text("method=fvm\n")
-        assert main(["validate", "--config", str(cfg)]) == EXIT_USAGE
-
     def test_validate_catches_perturbed_oracle(self, monkeypatch, capsys):
         import cbelab.cli as cli_module
         from cbelab import TimePoly, oracle_terms
@@ -394,14 +402,33 @@ class TestValidateCommand:
 
 
 class TestCsvEmission:
-    def test_non_finite_values_abort(self, tmp_path):
-        from cbelab import DivergenceError as DivErr
-        from cbelab.cli import _write_csv
+    @pytest.mark.parametrize(
+        "block",
+        [
+            (("ex1", float("nan")), ([1.0], [2.0])),
+            (("ex1", 0.5), ([1.0, float("nan")], [2.0, 3.0])),
+            (("ex1", 0.5), ([1.0, 2.0], [3.0, float("inf")])),
+        ],
+        ids=["nan-lead", "nan-column", "inf-column"],
+    )
+    def test_non_finite_values_abort(self, tmp_path, block):
+        with pytest.raises(DivergenceError):
+            _write_csv(tmp_path / "bad.csv", "deadbeef", ["case", "time", "size", "value"], [block])
 
-        with pytest.raises(DivErr):
-            _write_csv(
-                tmp_path / "bad.csv", "deadbeef", ["a"], [[float("nan")]]
-            )
+    def test_text_format(self, tmp_path):
+        path = tmp_path / "t.csv"
+        blocks = [
+            (("ex1", "ham", 5, -0.8, 1 / 3), (np.array([1e-5, 2.0]), [0.25, None])),
+            (("ex1", "fvm", None, None, 1.0), ([123456789012345.0], [7])),
+        ]
+        _write_csv(path, "deadbeef", ["case", "method", "order", "alpha", "time", "size", "value"], blocks)
+        assert path.read_text().splitlines() == [
+            "# config deadbeef",
+            "case,method,order,alpha,time,size,value",
+            "ex1,ham,5,-0.8,0.333333333333,1e-05,0.25",
+            "ex1,ham,5,-0.8,0.333333333333,2,",
+            "ex1,fvm,,,1,1.23456789012e+14,7",
+        ]
 
     def test_geometric_grid_solve(self, tmp_path):
         out = tmp_path / "geo"

@@ -14,7 +14,6 @@ from cbelab import (
     ExponentialIC,
     GridFunction,
     MassUniformBreakage,
-    StepperConfig,
     StiffnessError,
     build_grid,
     fvm_rhs,
@@ -117,12 +116,16 @@ class TestIntegrate:
     def test_rk4_matches_rk45(self, ex1):
         grid = build_grid(ex1.rmax, 60)
         adaptive = integrate(ex1, grid, (0.0, 1.0))
-        fixed = integrate(
-            ex1, grid, (0.0, 1.0), StepperConfig(method="rk4", rk4_steps=400)
-        )
+        fixed = integrate(ex1, grid, (0.0, 1.0), rk4_steps=400)
         assert adaptive.snapshots[-1].values == pytest.approx(
             fixed.snapshots[-1].values, abs=1e-7
         )
+
+    @pytest.mark.parametrize("rk4_steps", [0, -3])
+    def test_rk4_steps_must_be_positive(self, ex1, rk4_steps):
+        grid = build_grid(ex1.rmax, 16)
+        with pytest.raises(DomainError):
+            integrate(ex1, grid, (0.0, 1.0), rk4_steps=rk4_steps)
 
     def test_mass_drift_small(self, ex1):
         grid = build_grid(ex1.rmax, 150)
@@ -172,9 +175,7 @@ class TestIntegrate:
         )
         grid = build_grid(case.rmax, 24)
         with pytest.raises((DivergenceError, OverflowError)):
-            integrate(
-                case, grid, (0.0, 1.0), StepperConfig(method="rk4", rk4_steps=16)
-            )
+            integrate(case, grid, (0.0, 1.0), rk4_steps=16)
 
     def test_final_time_accuracy_ex1(self, ex1):
         # coarse run against the closed form; the acceptance suite tightens this
