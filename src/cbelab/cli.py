@@ -38,7 +38,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     NumericalError,
-    StiffnessError,
     UnknownCaseError,
 )
 from .collision import brute_force_rhs
@@ -334,7 +333,7 @@ def _eoc_block(case, method: str, cells, order: int, runs: _Runs) -> tuple:
     errors = []
     for count in cells:
         grid, profiles, _ = runs(case, method, order, count)
-        errors.append(number_error(profiles[-1], case, grid, case.tend))
+        errors.append(number_error(profiles[-1], case, case.tend))
     orders = [None] + [eoc(a, b) for a, b in zip(errors, errors[1:])]
     return (case.id, method), (cells, errors, orders)
 
@@ -694,7 +693,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, StiffnessError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except CbelabError as exc:

@@ -25,13 +25,13 @@ class NoOracleError(CbelabError, LookupError):
     """No hard-coded closed-form series term for this (case, method, order)."""
 
 
-class StiffnessError(CbelabError, RuntimeError):
+class NumericalError(CbelabError, RuntimeError):
+    """A numerical procedure failed or produced a non-finite intermediate result."""
+
+
+class StiffnessError(NumericalError):
     """Adaptive stepper drove the step size below the underflow threshold."""
 
 
-class DivergenceError(CbelabError, RuntimeError):
+class DivergenceError(NumericalError):
     """Non-finite values appeared in the integration state."""
-
-
-class NumericalError(CbelabError, RuntimeError):
-    """A numerical procedure produced a non-finite intermediate result."""

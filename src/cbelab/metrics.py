@@ -50,7 +50,6 @@ class MomentTable:
 def moments_over_time(
     solution: FvmSolution | SeriesSolution,
     times=None,
-    method: str | None = None,
     mass_drift_tol: float = MASS_DRIFT_TOL,
 ) -> MomentTable:
     """Tabulate moments 0..2 along the time axis of a solution.
@@ -63,8 +62,7 @@ def moments_over_time(
     if isinstance(solution, FvmSolution):
         tvals = tuple(float(t) for t in solution.times)
         rows = tuple((float(a), float(b), float(c)) for a, b, c in solution.moments)
-        label = method or "fvm"
-        case_id = solution.case.id
+        label = "fvm"
     else:
         if times is None:
             raise DomainError("series solutions need explicit output times")
@@ -74,14 +72,13 @@ def moments_over_time(
             g = truncated_sum(solution, solution.order, t)
             rows.append(tuple(quad_moment(g, n) for n in (0, 1, 2)))
         rows = tuple(rows)
-        label = method or solution.method
-        case_id = solution.case.id
+        label = solution.method
     mass0 = rows[0][1]
     flagged = any(
         abs(row[1] - mass0) > mass_drift_tol * abs(mass0) for row in rows[1:]
     )
     return MomentTable(
-        case_id=case_id,
+        case_id=solution.case.id,
         method=label,
         times=tvals,
         rows=rows,
@@ -106,12 +103,11 @@ def _reference_number(case: CaseSpec, grid: Grid, t: float) -> float:
     return total
 
 
-def number_error(approx: GridFunction, case: CaseSpec, grid: Grid, t: float) -> float:
+def number_error(approx: GridFunction, case: CaseSpec, t: float) -> float:
     """Total-number discrepancy between an approximation and the exact solution."""
     if case.exact.concentration is None:
         raise NoExactReferenceError(f"case {case.id!r} has no exact concentration")
-    if approx.grid is not grid:
-        raise DomainError("approximation does not live on the supplied grid")
+    grid = approx.grid
     numeric = float(np.sum(approx.values * grid.widths))
     return abs(_reference_number(case, grid, t) - numeric)
 

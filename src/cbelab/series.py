@@ -228,28 +228,21 @@ def ham_terms(case: CaseSpec, grid: Grid, order: int, alpha: float) -> SeriesSol
 def ahpm_terms(case: CaseSpec, grid: Grid, order: int) -> SeriesSolution:
     """Accelerated-homotopy series terms up to the requested order.
 
-    Term ``n`` applies the collision operator to the full partial sum and
-    subtracts the earlier corrections; products of partial sums generate time
-    powers above ``n``, which are retained as computed.
+    Term ``n`` is the negated defect of the partial sum of the earlier terms (a
+    Picard step): the collision operator acts on the full partial sum, so
+    products of partial sums generate time powers above ``n``, which are
+    retained as computed.
     """
     if order < 0:
         raise DomainError("order must be non-negative")
     ops = _collision_ops(grid, case.kernel, case.breakage)
     f0 = project_initial(case.init, grid).values
-    terms = [np.atleast_2d(f0)]
-    partial = terms[0].copy()
+    terms = [TimePoly(grid, f0)]
+    partial = terms[0].coeffs
     for n in range(1, order + 1):
-        fn = _poly_antider(ops.collide(partial, partial))
-        for prev in terms[1:]:
-            fn = _poly_add(fn, prev, scale=-1.0)
-        terms.append(_checked(fn, f"ahpm term {n}"))
-        partial = _poly_add(partial, fn)
-    return SeriesSolution(
-        method="ahpm",
-        case=case,
-        grid=grid,
-        terms=tuple(TimePoly(grid, t) for t in terms),
-    )
+        terms.append(TimePoly(grid, -_checked(_defect(ops, f0, partial), f"ahpm term {n}")))
+        partial = _poly_add(partial, terms[-1].coeffs)
+    return SeriesSolution(method="ahpm", case=case, grid=grid, terms=tuple(terms))
 
 
 def truncated_sum(series: SeriesSolution, m: int, t: float) -> GridFunction:
@@ -262,35 +255,36 @@ def truncated_sum(series: SeriesSolution, m: int, t: float) -> GridFunction:
     return GridFunction(series.grid, acc)
 
 
-def _stack_terms(terms: Sequence[TimePoly], m: int) -> np.ndarray:
-    rows = max(term.coeffs.shape[0] for term in terms[: m + 1])
+def _stack_terms(terms: Sequence[TimePoly]) -> np.ndarray:
+    rows = max(term.coeffs.shape[0] for term in terms)
     acc = np.zeros((rows, terms[0].coeffs.shape[1]))
-    for term in terms[: m + 1]:
+    for term in terms:
         acc = _poly_add(acc, term.coeffs)
     return acc
 
 
-def residual(
-    case: CaseSpec,
-    grid: Grid,
-    series: SeriesSolution | Sequence[TimePoly],
-    m: int,
-    t: float,
-) -> GridFunction:
-    """Defect of the truncated series in the integrated collision equation.
-
-    Zero at ``t = 0`` by construction; for an exact solution it reduces to the
-    quadrature and truncation error of the grid operators.
-    """
-    terms = series.terms if isinstance(series, SeriesSolution) else tuple(series)
-    if not 0 <= m <= len(terms) - 1:
-        raise DomainError(f"order {m} exceeds the series order {len(terms) - 1}")
-    ops = _collision_ops(grid, case.kernel, case.breakage)
-    theta = _stack_terms(terms, m)
+def _defect(ops: CollisionOperator, f0: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Time coefficients of ``theta - f0 - int_0^t C(theta, theta)``."""
     defect = _poly_add(theta, _poly_antider(ops.collide(theta, theta)), scale=-1.0)
-    defect[0] -= project_initial(case.init, grid).values
-    _checked(defect, f"order-{m} residual")
-    return GridFunction(grid, _poly_eval(defect, t))
+    defect[0] -= f0
+    return defect
+
+
+def residual(case: CaseSpec, terms: Sequence[TimePoly]) -> TimePoly:
+    """Defect of the summed ``terms`` in the integrated collision equation.
+
+    A polynomial in time, zero at ``t = 0`` by construction; for an exact
+    solution it reduces to the quadrature and truncation error of the grid
+    operators.
+    """
+    if not terms:
+        raise DomainError("a residual needs at least the zeroth term")
+    grid = terms[0].grid
+    if any(term.grid is not grid for term in terms):
+        raise GridMismatchError("series terms live on different grids")
+    ops = _collision_ops(grid, case.kernel, case.breakage)
+    f0 = project_initial(case.init, grid).values
+    return TimePoly(grid, _checked(_defect(ops, f0, _stack_terms(terms)), "series residual"))
 
 
 # --------------------------------------------------------------------------
@@ -335,11 +329,10 @@ def averaged_residual(
         raise DomainError("collocation times exceed the case horizon")
     if max(colloc.sizes) > case.rmax + 1e-12:
         raise DomainError("collocation sizes exceed the truncation radius")
-    series = ham_terms(case, grid, order, alpha)
+    defect = residual(case, ham_terms(case, grid, order, alpha).terms)
     total = 0.0
     for tm in colloc.times:
-        defect = residual(case, grid, series, order, tm)
-        samples = np.interp(colloc.sizes, grid.midpoints, defect.values)
+        samples = np.interp(colloc.sizes, grid.midpoints, defect.eval(tm).values)
         total += float(np.sum(samples**2))
     return total / (len(colloc.times) * len(colloc.sizes))
 
@@ -354,7 +347,6 @@ def optimize_alpha(
     case: CaseSpec,
     grid: Grid,
     order: int,
-    colloc: CollocationSpec | None = None,
     lo: float = -1.0,
     hi: float = -0.01,
 ) -> AlphaResult:
@@ -371,7 +363,7 @@ def optimize_alpha(
         raise DomainError("optimisation needs a series order >= 1")
     if not (-1.0 <= lo < hi < 0.0):
         raise DomainError(f"search interval [{lo}, {hi}] must sit inside [-1, 0)")
-    colloc = colloc or default_collocation(case, order)
+    colloc = default_collocation(case, order)
 
     def objective(a: float) -> float:
         value = averaged_residual(case, grid, order, a, colloc)

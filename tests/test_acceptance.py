@@ -76,15 +76,15 @@ def eoc_errors():
         grid = build_grid(case.rmax, cells)
         solution = integrate(case, grid, (0.0, case.tend))
         errors["fvm"].append(
-            number_error(solution.snapshots[-1], case, grid, case.tend)
+            number_error(solution.snapshots[-1], case, case.tend)
         )
         ham = ham_terms(case, grid, 5, case.reference_alpha)
         errors["ham"].append(
-            number_error(truncated_sum(ham, 5, case.tend), case, grid, case.tend)
+            number_error(truncated_sum(ham, 5, case.tend), case, case.tend)
         )
         ahpm = ahpm_terms(case, grid, 5)
         errors["ahpm"].append(
-            number_error(truncated_sum(ahpm, 5, case.tend), case, grid, case.tend)
+            number_error(truncated_sum(ahpm, 5, case.tend), case, case.tend)
         )
     return errors
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbelab import DivergenceError
+from cbelab import DivergenceError, NumericalError, StiffnessError
 from cbelab.cli import (
     _FIGURES as FIGURES,
     _build_parser,
@@ -161,11 +161,12 @@ class TestSolveCommand:
             outputs.append((run_info, files))
         assert outputs[0] == outputs[1]
 
-    def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error", [DivergenceError, StiffnessError, NumericalError])
+    def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch, error):
         import cbelab.cli as cli_module
 
         def explode(*args, **kwargs):
-            raise DivergenceError("synthetic blow-up")
+            raise error("synthetic blow-up")
 
         monkeypatch.setattr(cli_module, "integrate", explode)
         code = main(

@@ -101,7 +101,7 @@ class TestNumberError:
             x = grid.midpoints + half * node
             averages += weight * exact_concentration(ex1, 1.0, x)
         averages *= 0.5
-        err = number_error(GridFunction(grid, averages), ex1, grid, 1.0)
+        err = number_error(GridFunction(grid, averages), ex1, 1.0)
         assert err <= 1e-10
 
     def test_monotone_decay_between_grids(self, ex1):
@@ -109,7 +109,7 @@ class TestNumberError:
         for cells in (30, 60):
             grid = build_grid(ex1.rmax, cells)
             solution = integrate(ex1, grid, (0.0, 1.0))
-            errors.append(number_error(solution.snapshots[-1], ex1, grid, 1.0))
+            errors.append(number_error(solution.snapshots[-1], ex1, 1.0))
         assert errors[0] > errors[1]
 
     def test_number_is_linear_in_the_state(self, ex1):
@@ -117,8 +117,8 @@ class TestNumberError:
         g = project_initial(ex1.init, grid)
         doubled = GridFunction(grid, 2.0 * g.values)
         n_single = float(np.sum(g.values * grid.widths))
-        err = number_error(doubled, ex1, grid, 0.0)
-        reference = number_error(g, ex1, grid, 0.0)
+        err = number_error(doubled, ex1, 0.0)
+        reference = number_error(g, ex1, 0.0)
         # doubling the state shifts the total number by exactly its own size
         assert err == pytest.approx(n_single + reference, rel=1e-12)
 
@@ -126,7 +126,7 @@ class TestNumberError:
         grid = build_grid(ex2.rmax, 30)
         g = project_initial(ex2.init, grid)
         with pytest.raises(NoExactReferenceError):
-            number_error(g, ex2, grid, 0.5)
+            number_error(g, ex2, 0.5)
 
 
 class TestEoc:

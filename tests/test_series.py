@@ -25,6 +25,7 @@ from cbelab import (
     poly_antiderivative,
     poly_mul,
     project_initial,
+    registry_case,
     residual,
     taylor_term,
     truncated_sum,
@@ -38,6 +39,18 @@ ORACLE_CELLS = 1000
 
 def rel_l1(num, ref):
     return l1_distance(num, ref) / l1_norm(ref)
+
+
+def case_grid(case_id, scheme, cells):
+    case = registry_case(case_id)
+    eps_min = case.rmax * 1e-3 if scheme == "geometric" else None
+    return case, build_grid(case.rmax, cells, scheme, eps_min)
+
+
+def padded(coeffs, rows):
+    out = np.zeros((rows, coeffs.shape[1]))
+    out[: coeffs.shape[0]] = coeffs
+    return out
 
 
 class TestTimePoly:
@@ -249,6 +262,27 @@ class TestAhpmSeries:
             assert all(a > b for a, b in zip(distances, distances[1:]))
 
 
+class TestHamAlphaStructure:
+    @pytest.mark.parametrize("scheme", ["uniform", "geometric"])
+    @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
+    def test_terms_are_binomial_mixtures_of_hpm_terms(self, case_id, scheme):
+        # with L = d/dt and H = 1 the deformation equation makes term m a fixed
+        # combination of the alpha = -1 (plain HPM) terms g_j:
+        # sum_j (-alpha)^j C(m-1, j-1) (1+alpha)^(m-j) g_j
+        case, grid = case_grid(case_id, scheme, 200)
+        hpm = ham_terms(case, grid, 5, -1.0).terms
+        for alpha in (-0.9, -0.826, -0.5, -0.1):
+            terms = ham_terms(case, grid, 5, alpha).terms
+            for m in range(1, 6):
+                expected = sum(
+                    (-alpha) ** j * math.comb(m - 1, j - 1) * (1 + alpha) ** (m - j)
+                    * padded(hpm[j].coeffs, m + 1)
+                    for j in range(1, m + 1)
+                )
+                actual = padded(terms[m].coeffs, m + 1)
+                assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(actual))
+
+
 class TestTruncatedSum:
     def test_small_sizes_track_the_exact_solution(self, ex1):
         # the fifth-order sum is accurate for small particles at the final
@@ -283,7 +317,7 @@ class TestResidual:
     def test_vanishes_at_initial_time(self, ex1):
         grid = build_grid(ex1.rmax, 64)
         for series in (ahpm_terms(ex1, grid, 3), ham_terms(ex1, grid, 3, -0.8)):
-            defect = residual(ex1, grid, series, 3, 0.0)
+            defect = residual(ex1, series.terms).eval(0.0)
             assert np.max(np.abs(defect.values)) < 1e-14
 
     def test_exact_solution_leaves_discretisation_error(self, ex1):
@@ -291,7 +325,7 @@ class TestResidual:
         # integrated equation; what remains is quadrature error
         grid = build_grid(ORACLE_RMAX, ORACLE_CELLS)
         terms = [taylor_term("ex1", m, grid) for m in range(13)]
-        defect = residual(ex1, grid, terms, 12, 0.5)
+        defect = residual(ex1, terms).eval(0.5)
         assert l1_norm(defect) <= 5e-3
 
     def test_shrinks_toward_optimal_control(self, ex1):
@@ -299,8 +333,26 @@ class TestResidual:
         norms = []
         for alpha in (-0.3, -0.55, -0.8):
             series = ham_terms(ex1, grid, 5, alpha)
-            norms.append(l1_norm(residual(ex1, grid, series, 5, 1.0)))
+            norms.append(l1_norm(residual(ex1, series.terms).eval(1.0)))
         assert norms[0] > norms[1] > norms[2]
+
+    @pytest.mark.parametrize("scheme", ["uniform", "geometric"])
+    @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
+    def test_ahpm_term_is_negated_defect_of_previous_partial_sum(self, case_id, scheme):
+        case, grid = case_grid(case_id, scheme, 100)
+        for m in range(4):
+            defect = residual(case, ahpm_terms(case, grid, m).terms)
+            following = ahpm_terms(case, grid, m + 1).terms[m + 1]
+            assert np.array_equal(defect.coeffs, -following.coeffs)
+            assert not defect.coeffs[0].any()
+
+    def test_empty_or_mixed_grid_terms_are_refused(self, ex1):
+        with pytest.raises(DomainError):
+            residual(ex1, ())
+        uniform = ahpm_terms(ex1, build_grid(ex1.rmax, 40), 2).terms
+        geometric = ahpm_terms(ex1, build_grid(ex1.rmax, 40, "geometric", 0.01), 2).terms
+        with pytest.raises(GridMismatchError):
+            residual(ex1, uniform[:2] + geometric[2:])
 
 
 class TestAveragedResidual:
