@@ -299,9 +299,9 @@ class _Runs:
     """Runs on uniform grids at the 11 output times up to the horizon, each
     (case, method, order, cells) computed at most once per invocation.
 
-    ham uses ``alpha``, or the case's published value when it is None.  RK45
-    steps do not depend on the output times, so the horizon profile is the
-    one a run to the horizon alone gives.
+    ham uses ``alpha``, or the case's published value when it is None.
+    Dormand–Prince 5(4) steps do not depend on the output times, so the
+    horizon profile is the one a run to the horizon alone gives.
     """
 
     def __init__(self, alpha: float | None = None) -> None:

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cbelab
 from cbelab import DivergenceError, NumericalError, StiffnessError
 from cbelab.cli import (
     _FIGURES as FIGURES,
@@ -81,7 +85,7 @@ class TestSolveCommand:
         run_info = json.loads((out / "run.json").read_text())
         assert run_info["config"]["cells"] == 80
         assert run_info["fvm_steps"] > 0
-        # RK45 evaluates the right-hand side several times per accepted step
+        # Dormand–Prince 5(4) evaluates the right-hand side several times per accepted step
         assert run_info["rhs_evaluations"] > run_info["fvm_steps"]
 
     def test_series_solve_records_alpha(self, tmp_path):
@@ -458,3 +462,13 @@ class TestOptimizeAlphaCommand:
         payload = json.loads((out / "alpha.json").read_text())
         assert -1.0 <= payload["alpha_star"] < 0.0
         assert payload["averaged_residual"] >= 0.0
+
+
+def test_import_pulls_in_no_scipy():
+    # every command pays the import time of whatever the package imports
+    code = "import sys, cbelab, cbelab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cbelab.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from support import brute_force_rhs
 from cbelab import (
     CaseSpec,
     ConstantKernel,
+    CustomKernel,
     DiscreteFragmentsBreakage,
     DivergenceError,
     DomainError,
@@ -22,6 +24,8 @@ from cbelab import (
     project_initial,
     registry_case,
 )
+from cbelab.collision import CollisionOperator
+from cbelab.fvm import _ATOL, _RTOL, _integrate_dopri54
 
 
 class TestWeights:
@@ -186,3 +190,68 @@ class TestIntegrate:
         )
         err = float(np.sum(np.abs(solution.snapshots[-1].values - exact) * grid.widths))
         assert err / 2.0 < 5e-2
+
+    def test_nan_rhs_at_start_diverges(self, ex1):
+        # a NaN derivative at t=0 makes the initial step NaN, which no
+        # rejection can shrink below the step floor
+        case = replace(ex1, kernel=CustomKernel(lambda x, y: float("nan")))
+        with pytest.raises(DivergenceError):
+            integrate(case, build_grid(10.0, 20), (0.0, 0.5, 1.0))
+
+    def test_nan_error_norm_shrinks_step_to_the_floor(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y if t == 0.0 else np.full_like(y, np.nan)
+
+        with pytest.raises(StiffnessError):
+            _integrate_dopri54(rhs, np.ones(3), np.array([0.0, 1.0]))
+        # after f0 and the initial-step probe, each trial step makes six
+        # calls, the last at t + h with t = 0
+        trial_steps = calls[2:][5::6]
+        assert len(calls) == 2 + 6 * len(trial_steps)
+        assert len(trial_steps) > 400
+        assert all(b == a * 0.2 for a, b in zip(trial_steps, trial_steps[1:]))
+        floor = 10 * np.nextafter(0.0, 1.0)
+        assert trial_steps[-1] >= floor > trial_steps[-1] * 0.2
+
+
+_OUTPUT_TIMES = 11
+
+
+@pytest.mark.parametrize("cells", [30, 300])
+@pytest.mark.parametrize(
+    "case_id, steps, evaluations", [("ex1", 11, 68), ("ex2", 3, 20), ("ex3", 5, 44)]
+)
+def test_stepper_work_counts(case_id, steps, evaluations, cells):
+    # ex3 rejects two trial steps, so this also pins the rejection branch
+    case = registry_case(case_id)
+    times = np.linspace(0.0, case.tend, _OUTPUT_TIMES)
+    solution = integrate(case, build_grid(case.rmax, cells), times)
+    assert (solution.step_count, solution.rhs_evaluations) == (steps, evaluations)
+
+
+@pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
+@pytest.mark.parametrize("scheme, cells", [("uniform", 30), ("uniform", 300), ("geometric", 200)])
+def test_stepper_matches_scipy_rk45(case_id, scheme, cells):
+    RK45 = pytest.importorskip("scipy.integrate").RK45
+    case = registry_case(case_id)
+    grid = build_grid(case.rmax, cells, scheme, 0.01 if scheme == "geometric" else None)
+    times = np.linspace(0.0, case.tend, _OUTPUT_TIMES)
+    operator = CollisionOperator(precompute_weights(grid, case.breakage), case.kernel)
+    y0 = project_initial(case.init, grid).values
+    stepper = RK45(lambda t, y: operator.rhs(y), 0.0, y0, t_bound=case.tend, atol=_ATOL, rtol=_RTOL)
+    expected = [y0]
+    steps = 0
+    while stepper.status == "running":
+        stepper.step()
+        steps += 1
+        dense = stepper.dense_output()
+        expected += [dense(t) for t in times[len(expected):] if t <= stepper.t + 1e-14]
+
+    solution = integrate(case, grid, times)
+    assert len(solution.snapshots) == len(expected)
+    for snapshot, values in zip(solution.snapshots, expected):
+        assert np.array_equal(snapshot.values, values)
+    assert (solution.step_count, solution.rhs_evaluations) == (steps, stepper.nfev)
