@@ -103,13 +103,23 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size**0.5
 
 
+def _check_scales(*scales: float) -> None:
+    # a NaN probe is left to the step loop, which shrinks the step to the floor
+    if any(math.isinf(d) for d in scales):
+        raise DivergenceError("non-finite derivative scale in the initial step")
+
+
 def _initial_step(rhs, y0, f0, t_end: float) -> float:
     """Hairer, Norsett & Wanner, Solving ODEs I, section II.4, clamped to ``t_end``."""
     scale = _ATOL + np.abs(y0) * _RTOL
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end)
-    d2 = _rms((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
+    # an overflowing scale would collapse the step to zero instead
+    with np.errstate(over="ignore"):
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        _check_scales(d0, d1)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, t_end)
+        d2 = _rms((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
+        _check_scales(d2)
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

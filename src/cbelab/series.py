@@ -194,6 +194,22 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _ham_coeffs(
+    ops: CollisionOperator, f0: np.ndarray, order: int, alpha: float
+) -> list[np.ndarray]:
+    """Time coefficients of HAM terms ``0 .. order`` (see ``ham_terms``)."""
+    terms = [np.atleast_2d(f0)]
+    for m in range(1, order + 1):
+        conv = np.zeros((1, f0.size))
+        for k in range(m):
+            conv = _poly_add(conv, ops.collide(terms[k], terms[m - 1 - k]), -1.0)
+        fm = alpha * _poly_antider(conv)
+        if m > 1:
+            fm = _poly_add(fm, terms[m - 1], scale=1.0 + alpha)
+        terms.append(_checked(fm, f"ham term {m}"))
+    return terms
+
+
 def ham_terms(case: CaseSpec, grid: Grid, order: int, alpha: float) -> SeriesSolution:
     """Homotopy-analysis series terms up to the requested order.
 
@@ -207,15 +223,7 @@ def ham_terms(case: CaseSpec, grid: Grid, order: int, alpha: float) -> SeriesSol
         raise DomainError("order must be non-negative")
     ops = _collision_ops(grid, case.kernel, case.breakage)
     f0 = project_initial(case.init, grid).values
-    terms = [np.atleast_2d(f0)]
-    for m in range(1, order + 1):
-        conv = np.zeros((1, grid.cells))
-        for k in range(m):
-            conv = _poly_add(conv, ops.collide(terms[k], terms[m - 1 - k]), -1.0)
-        fm = alpha * _poly_antider(conv)
-        if m > 1:
-            fm = _poly_add(fm, terms[m - 1], scale=1.0 + alpha)
-        terms.append(_checked(fm, f"ham term {m}"))
+    terms = _ham_coeffs(ops, f0, order, alpha)
     return SeriesSolution(
         method="ham",
         case=case,
@@ -330,11 +338,54 @@ def averaged_residual(
     if max(colloc.sizes) > case.rmax + 1e-12:
         raise DomainError("collocation sizes exceed the truncation radius")
     defect = residual(case, ham_terms(case, grid, order, alpha).terms)
-    total = 0.0
-    for tm in colloc.times:
-        samples = np.interp(colloc.sizes, grid.midpoints, defect.eval(tm).values)
-        total += float(np.sum(samples**2))
-    return total / (len(colloc.times) * len(colloc.sizes))
+    samples = _sample(defect.coeffs, grid, colloc)
+    return sum(float(np.sum(row**2)) for row in samples) / samples.size
+
+
+def _sample(coeffs: np.ndarray, grid: Grid, colloc: CollocationSpec) -> np.ndarray:
+    """Time polynomial at the collocation nodes: one row per time, one column per size."""
+    return np.array(
+        [np.interp(colloc.sizes, grid.midpoints, _poly_eval(coeffs, tm)) for tm in colloc.times]
+    )
+
+
+def _ham_weights(order: int, alpha: np.ndarray) -> np.ndarray:
+    """Weights ``w_j(alpha)``, ``j = 0 .. order``, of the HAM partial sum
+    ``sum_j w_j(alpha) g_j`` in the alpha = -1 (plain HPM) terms ``g_j``.
+
+    HAM term ``m`` is ``sum_j (-alpha)^j C(m-1, j-1) (1+alpha)^(m-j) g_j``.
+    """
+    rows = [np.ones_like(alpha)]
+    for j in range(1, order + 1):
+        tail = sum(math.comb(k - 1, j - 1) * (1 + alpha) ** (k - j) for k in range(j, order + 1))
+        rows.append((-alpha) ** j * tail)
+    return np.array(rows)
+
+
+def _alpha_objective(
+    case: CaseSpec, grid: Grid, order: int, colloc: CollocationSpec
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``averaged_residual`` as an explicit polynomial in alpha, for a 1-D array of alphas.
+
+    With the partial sum ``sum_j w_j g_j`` (``w_0 = 1``, ``g_0 = f0``) and a
+    bilinear ``collide``, the defect at the nodes is
+    ``sum_{j>=1} w_j A_j - sum_{i,j} w_i w_j B_ij``, where ``A_j`` samples
+    ``g_j`` and ``B_ij`` samples ``int_0^t C(g_i, g_j)``: one alpha-free build
+    and ``(order + 1)**2`` products fix every value.
+    """
+    ops = _collision_ops(grid, case.kernel, case.breakage)
+    hpm = _ham_coeffs(ops, project_initial(case.init, grid).values, order, -1.0)
+    linear = np.array([_sample(g, grid, colloc).ravel() for g in hpm[1:]])
+    quadratic = np.array(
+        [[_sample(_poly_antider(ops.collide(p, q)), grid, colloc).ravel() for q in hpm] for p in hpm]
+    )
+
+    def objective(alpha: np.ndarray) -> np.ndarray:
+        w = _ham_weights(order, np.asarray(alpha, dtype=float))
+        defect = w[1:].T @ linear - np.einsum("ia,ja,ijn->an", w, w, quadratic)
+        return np.mean(defect**2, axis=-1)
+
+    return objective
 
 
 @dataclass(frozen=True)
@@ -352,12 +403,14 @@ def optimize_alpha(
 ) -> AlphaResult:
     """Global minimum of the averaged squared residual over ``[lo, hi]``.
 
-    HAM term ``m`` is a polynomial of degree ``m`` in the control parameter, so
-    the order-``order`` residual has degree ``2 * order`` and its mean square
-    degree ``4 * order``.  Samples at ``4 * order + 1`` Chebyshev nodes fix that
-    polynomial; its minimum lies at an endpoint or at a real root of its
-    derivative.  Each such candidate is evaluated again and the smallest true
-    value is returned.
+    Every HAM partial sum is ``sum_j w_j(alpha) g_j`` over the alpha = -1
+    (plain HPM) terms ``g_j``, with scalar weights of degree ``<= order`` in
+    alpha, so one alpha-free build fixes the objective at every alpha: an
+    explicit polynomial of degree ``4 * order`` (``_alpha_objective``).  Its
+    Chebyshev interpolant at ``4 * order + 1`` nodes has its minimum at an
+    endpoint or at a real root of its derivative.  Only these candidates are
+    evaluated through ``averaged_residual`` (one HAM build each), and the
+    smallest true value is returned.
     """
     if order < 1:
         raise DomainError("optimisation needs a series order >= 1")
@@ -372,8 +425,9 @@ def optimize_alpha(
         return value
 
     fit = np.polynomial.Chebyshev.interpolate(
-        np.vectorize(objective, otypes=[float]), 4 * order, domain=(lo, hi)
+        _alpha_objective(case, grid, order, colloc), 4 * order, domain=(lo, hi)
     )
+    _checked(fit.coef, "averaged residual polynomial")
     roots = fit.deriv().roots()
     # the eigenvalue solver may leave a round-off imaginary part on a real root
     real = roots.real[np.abs(roots.imag) <= 1e-9]

@@ -181,6 +181,21 @@ class TestIntegrate:
         with pytest.raises((DivergenceError, OverflowError)):
             integrate(case, grid, (0.0, 1.0), rk4_steps=16)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_derivative_scale_diverges(self):
+        # |f0 / scale| overflows; the initial step used to collapse to zero
+        case = CaseSpec(
+            id="overflow",
+            kernel=ConstantKernel(1e300),
+            breakage=MassUniformBreakage(),
+            init=ExponentialIC(),
+            rmax=5.0,
+            tend=1.0,
+        )
+        grid = build_grid(case.rmax, 24)
+        with pytest.raises(DivergenceError, match="non-finite derivative scale"):
+            integrate(case, grid, (0.0, 1.0))
+
     def test_final_time_accuracy_ex1(self, ex1):
         # coarse run against the closed form; the acceptance suite tightens this
         grid = build_grid(ex1.rmax, 150)

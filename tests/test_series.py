@@ -409,6 +409,47 @@ class TestOptimizeAlpha:
         # the order-5 objective is a polynomial of degree 4 * 5 in alpha
         assert 0 < len(calls) <= 2 * (4 * 5 + 1)
 
+    def test_candidates_are_the_only_ham_builds(self, ex1, monkeypatch):
+        import cbelab.series as series_module
+
+        evaluations, builds = [], []
+        evaluate, build = series_module.averaged_residual, series_module.ham_terms
+
+        def counted_evaluate(*args, **kwargs):
+            evaluations.append(args)
+            return evaluate(*args, **kwargs)
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(series_module, "averaged_residual", counted_evaluate)
+        monkeypatch.setattr(series_module, "ham_terms", counted_build)
+        optimize_alpha(ex1, build_grid(ex1.rmax, 120), 5)
+        # the fit comes from one alpha-free build; only the two endpoints and
+        # the real critical points are evaluated, one HAM build each
+        assert 2 <= len(evaluations) <= 5
+        assert len(builds) == len(evaluations)
+
+    @pytest.mark.parametrize(
+        "cells, order, alpha_star",
+        [(300, 5, -0.8108683738814098), (60, 3, -0.9330085210563668)],
+    )
+    def test_pinned_optimum(self, ex1, cells, order, alpha_star):
+        result = optimize_alpha(ex1, build_grid(ex1.rmax, cells), order)
+        assert abs(result.alpha - alpha_star) <= 1e-9
+
+    @pytest.mark.parametrize("scheme", ["uniform", "geometric"])
+    @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
+    def test_alpha_polynomial_matches_averaged_residual(self, case_id, scheme):
+        from cbelab.series import _alpha_objective
+
+        case, grid = case_grid(case_id, scheme, 200)
+        alphas = (-1.0, -0.9, -0.81, -0.5, -0.1, -0.01)
+        cheap = _alpha_objective(case, grid, 5, default_collocation(case, 5))(np.array(alphas))
+        true = np.array([averaged_residual(case, grid, 5, a) for a in alphas])
+        assert np.all(np.abs(cheap - true) <= 1e-8 * true + 1e-20)
+
     def test_global_minimum_beats_fine_scan(self, ex1):
         grid = build_grid(ex1.rmax, 60)
         result = optimize_alpha(ex1, grid, 3)
