@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -247,16 +248,29 @@ def _text(value) -> str:
     return str(value)
 
 
+def _column(values) -> tuple[str, list]:
+    """A column's ``%`` spec and entries with ``_text``'s spelling; a float64 array is
+    checked at once and skips ``_text``, a float32 one does not (it writes ``str``)."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise DivergenceError(f"non-finite value {values[~finite][0]} in CSV output")
+        return "%.12g", values.tolist()
+    return "%s", [_text(value) for value in values]
+
+
 def _write_csv(path: Path, config_hash: str, header: list[str], blocks) -> None:
     """Write ``(lead, columns)`` blocks: one row per index of the equal-length
-    ``columns``, each row starting with the block's ``lead`` values."""
-    lines = [f"# config {config_hash}", ",".join(header)]
+    ``columns``, each row starting with the block's ``lead`` values; one ``%``
+    operation formats a whole block."""
+    texts = [f"# config {config_hash}\n", ",".join(header) + "\n"]
     for lead, columns in blocks:
-        prefix = "".join(_text(value) + "," for value in lead)
-        texts = [[_text(value) for value in column] for column in columns]
-        lines += (prefix + ",".join(row) for row in zip(*texts, strict=True))
+        prefix = "".join(_text(value) + "," for value in lead).replace("%", "%%")
+        specs, entries = zip(*map(_column, columns))
+        flat = tuple(chain.from_iterable(zip(*entries, strict=True)))
+        texts.append((prefix + ",".join(specs) + "\n") * (len(flat) // len(specs)) % flat)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(texts))
 
 
 def _write_run_json(path: Path, payload: dict) -> None:

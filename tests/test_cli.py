@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cbelab
 from cbelab import DivergenceError, NumericalError, StiffnessError
@@ -413,12 +415,58 @@ class TestCsvEmission:
             (("ex1", float("nan")), ([1.0], [2.0])),
             (("ex1", 0.5), ([1.0, float("nan")], [2.0, 3.0])),
             (("ex1", 0.5), ([1.0, 2.0], [3.0, float("inf")])),
+            (("ex1", 0.5), (np.array([1.0, np.nan]), [2.0, 3.0])),
+            (("ex1", 0.5), ([1.0, 2.0], np.array([3.0, np.inf]))),
+            (("ex1", 0.5), (np.array([-np.inf, 1.0]), [2.0, 3.0])),
         ],
-        ids=["nan-lead", "nan-column", "inf-column"],
+        ids=["nan-lead", "nan-column", "inf-column", "nan-array", "inf-array", "neginf-array"],
     )
     def test_non_finite_values_abort(self, tmp_path, block):
+        path = tmp_path / "bad.csv"
         with pytest.raises(DivergenceError):
-            _write_csv(tmp_path / "bad.csv", "deadbeef", ["case", "time", "size", "value"], [block])
+            _write_csv(path, "deadbeef", ["case", "time", "size", "value"], [block])
+        assert not path.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    @example(values=[-0.0, 5e-324, 1.7e308, -1.7e308, 1e-5, 0.1 + 0.2, 123456789012345.0])
+    def test_float64_array_matches_float_list(self, tmp_path_factory, values):
+        # a list of Python floats goes through ``_text`` entry by entry
+        out = tmp_path_factory.mktemp("csv")
+        header = ["case", "time", "size", "value"]
+        lead = ("ex1", values[0])
+        _write_csv(out / "array.csv", "deadbeef", header, [(lead, (np.array(values), np.array(values[::-1])))])
+        _write_csv(out / "list.csv", "deadbeef", header, [(lead, ([*values], [*values[::-1]]))])
+        assert (out / "array.csv").read_bytes() == (out / "list.csv").read_bytes()
+
+    def test_float32_array_keeps_str_spelling(self, tmp_path):
+        path = tmp_path / "f32.csv"
+        column = np.array([0.1, 1e-5], dtype=np.float32)
+        _write_csv(path, "deadbeef", ["case", "size", "value"], [(("ex1",), (column, [1, 2]))])
+        assert path.read_text().splitlines()[2:] == ["ex1,0.1,1", "ex1,1e-05,2"]
+
+    def test_percent_signs_written_verbatim(self, tmp_path):
+        path = tmp_path / "pct.csv"
+        block = (("a%b",), (np.array([1.0, 2.0]), ["100%", "%s"]))
+        _write_csv(path, "deadbeef", ["lead", "size", "label"], [block])
+        assert path.read_text().splitlines()[2:] == ["a%b,1,100%", "a%b,2,%s"]
+
+    def test_fine_solve_formats_per_block(self, tmp_path, monkeypatch):
+        import cbelab.cli as cli_module
+
+        calls = 0
+        text = cli_module._text
+
+        def counted(value):
+            nonlocal calls
+            calls += 1
+            return text(value)
+
+        monkeypatch.setattr(cli_module, "_text", counted)
+        argv = ["solve", "--case", "ex1", "--method", "fvm", "--cells", "4000", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        # float64 columns skip ``_text``; leads and the short moment columns use it
+        assert calls < 1000
 
     def test_text_format(self, tmp_path):
         path = tmp_path / "t.csv"
