@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, NoExactReferenceError, UnknownCaseError
+from .errors import DivergenceError, DomainError, NoExactReferenceError, UnknownCaseError
 
 __all__ = [
     "ConstantKernel",
@@ -98,30 +98,47 @@ def kernel_matrix(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
         return np.full((x.size, y.size), kernel.rate)
     if isinstance(kernel, ProductKernel):
         return kernel.scale * np.outer(x, y)
-    out = np.empty((x.size, y.size))
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            out[i, j] = kernel.fn(float(xi), float(yj))
-    return out
+    ys = y.tolist()
+    values = [kernel.fn(xi, yj) for xi in x.tolist() for yj in ys]
+    return np.array(values, dtype=float).reshape(x.size, y.size)
 
 
 def kernel_factors(
     kernel: KernelSpec, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Rank-1 factors ``(a, b)`` with ``K(x[i], y[j]) = a[i] * b[j]``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(A, B)`` with ``K(x[i], y[j]) = sum_k A[k, i] B[k, j]``, one rank per row.
 
-    The shipped kernels are separable, ``K(x, y) = K(x, 1) K(1, y) / K(1, 1)``,
-    so the factors are one column and one row of the rate table.  Returns
-    ``None`` for ``CustomKernel``, which has no known factorisation.
+    The shipped kernels are separable, ``K(x, y) = K(1, x) K(1, y) / K(1, 1)``,
+    so r = 1: one row each of the rate table.  A ``CustomKernel`` is factored by
+    adaptive cross approximation with partial pivoting (Bebendorf, Numer. Math.
+    86, 2000): each rank reads one residual column and one row of the table.
+    Pivots run over the columns, as ``x`` may repeat a size.  The crosses stop
+    below 1e-14 of their sum in Frobenius norm, or once every column is used,
+    when they interpolate the whole table.  Non-finite values raise
+    ``DivergenceError``.
     """
-    if isinstance(kernel, CustomKernel):
-        return None
-    unit = np.ones(1)
-    a = kernel_matrix(kernel, x, unit)[:, 0]
-    pivot = kernel_eval(kernel, 1.0, 1.0)
-    if pivot == 0.0:  # the zero kernel: a is zero already
-        return a, np.zeros(np.size(y))
-    return a, kernel_matrix(kernel, unit, y)[0] / pivot
+    x, y, unit = np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.ones(1)
+    if not isinstance(kernel, CustomKernel):
+        pivot = kernel_eval(kernel, 1.0, 1.0)  # zero for the zero kernel, whose A is zero
+        b = kernel_matrix(kernel, unit, y) / pivot if pivot != 0.0 else np.zeros((1, y.size))
+        return kernel_matrix(kernel, unit, x), b
+    a, b = np.zeros((0, x.size)), np.zeros((0, y.size))
+    unused, j, total = np.ones(y.size, bool), 0, 0.0
+    while True:
+        unused[j] = False
+        u = kernel_matrix(kernel, x, y[j : j + 1])[:, 0] - b[:, j] @ a
+        i = np.argmax(np.abs(u))  # the first NaN, if there is one
+        if u[i] == 0.0:  # the residual column vanishes: one zero rank for the zero kernel
+            return (a, b) if len(a) else (np.zeros((1, x.size)), np.zeros((1, y.size)))
+        u, v = u / u[i], kernel_matrix(kernel, x[i : i + 1], y)[0] - a[:, i] @ b
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise DivergenceError(f"non-finite collision rate near sizes ({x[i]}, {y[j]})")
+        cross = (u @ u) * (v @ v)
+        total += 2.0 * (a @ u) @ (b @ v) + cross
+        a, b = np.vstack([a, u]), np.vstack([b, v])
+        if cross <= 1e-28 * total or not unused.any():
+            return a, b
+        j = np.argmax(np.where(unused, np.abs(v), -1.0))
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,10 @@ loss in cell ``i`` is ``g_i s(m_i)``; the gain spreads the collision density
 ``g(x) s(x)`` of the parents over the fragment cells through a linear birth
 map (``FragWeights``).
 
-Both shipped kernels are rank one, ``K(x, y) = a(x) b(y)``, so
-``s = a * (b . h w)`` costs O(N) per application, and so does every birth map.
-``CustomKernel`` keeps a dense rate table and costs O(N^2).
+Every kernel is applied in factored form, ``K(x, y) = sum_k A_k(x) B_k(y)``
+(``cases.kernel_factors``), so ``s = sum_k A_k (B_k . h w)`` costs O(rN) per
+application and every birth map O(N).  The shipped kernels have rank r = 1; a
+``CustomKernel`` gets the rank its adaptive cross approximation needs.
 
 Birth maps:
 
@@ -24,7 +25,7 @@ Birth maps:
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .cases import (
     MassUniformBreakage,
     kernel_eval,
     kernel_factors,
-    kernel_matrix,
 )
 from .errors import DomainError
 from .grid import Grid
@@ -167,25 +167,16 @@ class CollisionOperator:
 
     def __init__(self, weights: FragWeights, kernel) -> None:
         self.weights = weights
-        mid, widths = weights.grid.midpoints, weights.grid.widths
-        same_sites = weights.sites is mid
-        factors = kernel_factors(kernel, weights.sites, mid)
-        self.rank_one = factors is not None
-        # the kernel at the parent sites and at the midpoints: the factor a(x)
-        # of a rank-1 kernel, else the dense table K(x, m_l) * w_l
-        if self.rank_one:
-            self._at_sites, b = factors
-            self._at_mid = self._at_sites if same_sites else kernel_factors(kernel, mid, mid)[0]
-            self._bw = b * widths
-        else:
-            self._at_sites = kernel_matrix(kernel, weights.sites, mid) * widths
-            self._at_mid = self._at_sites if same_sites else kernel_matrix(kernel, mid, mid) * widths
+        mid, sites = weights.grid.midpoints, weights.sites
+        # one factorisation at [sites; midpoints], so birth and death share B
+        rows = mid if sites is mid else np.concatenate([sites, mid])
+        at, b = kernel_factors(kernel, rows, mid)
+        self._at_sites, self._at_mid = at[:, : sites.size], at[:, -mid.size :]
+        self._bw = b * weights.grid.widths
 
-    def _rates(self, h: np.ndarray, kernel_at: np.ndarray) -> np.ndarray:
-        """Collision rates against the partner ``h`` at the sizes of ``kernel_at``."""
-        if self.rank_one:
-            return np.multiply.outer(h @ self._bw, kernel_at)
-        return h @ kernel_at.T
+    def _rates(self, h: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Collision rates against the partner ``h`` at the sizes of the factor ``at``."""
+        return np.dot(np.dot(h, self._bw.T), at)
 
     def birth(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         return self.weights(self.weights.sample(g) * self._rates(h, self._at_sites))
@@ -195,13 +186,13 @@ class CollisionOperator:
 
     def collide(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Time coefficients of gain minus loss for parents ``p`` and partners ``q``."""
-        weights = self.weights
-        if self.rank_one:
-            # s(x) = a(x) sigma(q): one birth pass over p, then a scalar per time row
-            per_unit = weights(weights.sample(p) * self._at_sites) - p * self._at_mid
-            return cauchy_product(per_unit, (q @ self._bw)[:, None])
-        gain = weights(cauchy_product(weights.sample(p), self._rates(q, self._at_sites)))
-        return gain - cauchy_product(p, self._rates(q, self._at_mid))
+        # s(x) = sum_k A_k(x) sigma_k(q): one birth pass over p per rank, then a
+        # scalar per time row; the sum starts from its first term to keep -0.0
+        weights, sampled = self.weights, self.weights.sample(p)
+        return reduce(np.add, (
+            cauchy_product(weights(sampled * at) - p * at_mid, (q @ bw)[:, None])
+            for at, at_mid, bw in zip(self._at_sites, self._at_mid, self._bw)
+        ))
 
     def rhs(self, f: np.ndarray) -> np.ndarray:
         """Time derivative ``gain - loss`` of the state ``f``."""

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from support import brute_force_rhs
 
 from cbelab import (
     CaseSpec,
+    ConstantKernel,
     CustomKernel,
     DiscreteFragmentsBreakage,
     ExponentialIC,
@@ -24,8 +27,29 @@ from cbelab import (
     project_initial,
     registry_case,
 )
+from cbelab.cases import kernel_matrix
+from cbelab.collision import CollisionOperator, birth_map, cauchy_product
 
 LAWS = [MassUniformBreakage(), DiscreteFragmentsBreakage((Fraction(2, 5), Fraction(3, 5)))]
+LAW_IDS = ["mass-uniform", "fragments"]
+# non-separable kernels of rising numerical rank; differential sedimentation
+# has full rank on every grid
+KERNEL_IDS = ["sum", "brownian", "free-molecular", "diff-sedimentation", "product-bump"]
+
+
+def _custom_kernel(kernel_id, grid):
+    third = 1.0 / 3.0
+    edge = grid.edges[-2]  # the bump covers the last cell pair only
+    fn = {
+        "sum": lambda x, y: x + y,
+        "brownian": lambda x, y: (x**third + y**third) * (x**-third + y**-third),
+        "free-molecular": lambda x, y: (x**third + y**third) ** 2 * math.sqrt(1 / x + 1 / y),
+        "diff-sedimentation": lambda x, y: (
+            (x**third + y**third) ** 2 * abs(x ** (2 * third) - y ** (2 * third))
+        ),
+        "product-bump": lambda x, y: x * y + (1.0 if min(x, y) > edge else 0.0),
+    }[kernel_id]
+    return CustomKernel(fn)
 
 
 def _grid(rmax, cells, scheme):
@@ -36,7 +60,7 @@ def _grid(rmax, cells, scheme):
 # fragment whole into one cell while the series interpolate the parent density.
 # For the projected initial data at 200 cells the two right-hand sides differ by
 # 17 % (uniform) and 2.3 % (geometric) of max |rhs|.  The ROADMAP item
-# "Conservative discrete-fragment discretisation" gives both one rule.
+# "Discrete fragments: a moment-conserving FVM birth map" gives both one rule.
 @pytest.mark.parametrize("case_id", ["ex1", "ex2"])
 @pytest.mark.parametrize("scheme", ["uniform", "geometric"])
 def test_fvm_and_series_share_the_mass_uniform_operator(case_id, scheme):
@@ -83,15 +107,72 @@ def test_dense_custom_kernel_series_match_rank_one(law):
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * np.max(np.abs(a.coeffs))
 
 
-@pytest.mark.parametrize("law", LAWS, ids=["mass-uniform", "fragments"])
-def test_non_separable_custom_kernel_matches_brute_force(law, rng):
+@pytest.mark.parametrize(
+    "law, kernel_id",
+    [
+        pytest.param(law, kernel_id, id=law_id if kernel_id == "sum" else f"{law_id}-{kernel_id}")
+        for law, law_id in zip(LAWS, LAW_IDS)
+        for kernel_id in KERNEL_IDS
+    ],
+)
+def test_non_separable_custom_kernel_matches_brute_force(law, kernel_id, rng):
     grid = build_grid(6.0, 12)
-    kernel = CustomKernel(lambda x, y: x + y)
+    kernel = _custom_kernel(kernel_id, grid)
     weights = precompute_weights(grid, law)
     f = GridFunction(grid, rng.uniform(0.0, 1.0, grid.cells))
     fast = fvm_rhs(grid, weights, kernel, f).values
     slow = brute_force_rhs(grid, weights.table, kernel, f.values)
     assert fast == pytest.approx(slow, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_factored_custom_kernel_matches_dense_table(law, kernel_id, rng):
+    # the reference applies K(x, m_l) w_l as a dense table; for the fragments
+    # law the series sites stack the interpolated parents over the midpoints
+    grid = build_grid(6.0, 200)
+    kernel = _custom_kernel(kernel_id, grid)
+    f, h = (GridFunction(grid, rng.uniform(0.0, 1.0, grid.cells)) for _ in range(2))
+    p, q = rng.uniform(0.0, 1.0, (2, 3, grid.cells))  # time coefficients, t^0 .. t^2
+    mid = grid.midpoints
+    fvm_weights, series = precompute_weights(grid, law), birth_map(grid, law, interpolated=True)
+
+    def rates(h, x):
+        return h @ (kernel_matrix(kernel, x, mid) * grid.widths).T
+
+    def dense_rhs(weights, g, h):
+        return weights(weights.sample(g) * rates(h, weights.sites)), g * rates(h, mid)
+
+    def dense_collide(weights, p, q):
+        gain = weights(cauchy_product(weights.sample(p), rates(q, weights.sites)))
+        return gain - cauchy_product(p, rates(q, mid))
+
+    cell_birth, cell_death = dense_rhs(fvm_weights, f.values, f.values)
+    birth, death = dense_rhs(series, f.values, h.values)
+    pairs = [
+        (fvm_rhs(grid, fvm_weights, kernel, f).values, cell_birth - cell_death),
+        (birth_apply(kernel, law, f, h).values, birth),
+        (death_apply(kernel, f, h).values, death),
+        (CollisionOperator(series, kernel).collide(p, q), dense_collide(series, p, q)),
+    ]
+    for fast, ref in pairs:
+        assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [ConstantKernel(0.0), ProductKernel(0.0), CustomKernel(lambda x, y: 0.0)],
+    ids=["constant", "product", "custom"],
+)
+@pytest.mark.parametrize("case_id", ["ex1", "ex3"])
+def test_zero_kernel_leaves_the_initial_data(case_id, kernel):
+    case = replace(registry_case(case_id), kernel=kernel)
+    grid = build_grid(case.rmax, 50)
+    f0 = project_initial(case.init, grid).values
+    solution = integrate(case, grid, (0.0, 0.5 * case.tend, case.tend))
+    assert all(np.array_equal(snap.values, f0) for snap in solution.snapshots)
+    series = ahpm_terms(case, grid, 3)
+    assert all(np.all(term.coeffs == 0.0) for term in series.terms[1:])
 
 
 def _peak_bytes(fn, *args):
@@ -103,10 +184,16 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("case_id", ["ex1", "ex3"])
-def test_no_dense_tables(case_id):
+@pytest.mark.parametrize(
+    "case_id, kernel",
+    [("ex1", None), ("ex3", None), ("ex1", CustomKernel(lambda x, y: x + y))],
+    ids=["ex1", "ex3", "ex1-custom-sum"],
+)
+def test_no_dense_tables(case_id, kernel):
     # a dense N x N float table alone would need 8 * N * N bytes
     case = registry_case(case_id)
+    if kernel is not None:
+        case = replace(case, kernel=kernel)
     cells = 2000
     row = 8 * cells
     peak = _peak_bytes(integrate, case, build_grid(case.rmax, cells), (0.0, case.tend))
