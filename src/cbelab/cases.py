@@ -7,6 +7,7 @@ Everything here is immutable after construction and safe to share across threads
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -92,15 +93,13 @@ def kernel_eval(kernel: KernelSpec, x: float, y: float) -> float:
 
 def kernel_matrix(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rate table ``K[i, j] = K(x[i], y[j])``, vectorised for the shipped kernels."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if isinstance(kernel, ConstantKernel):
         return np.full((x.size, y.size), kernel.rate)
     if isinstance(kernel, ProductKernel):
         return kernel.scale * np.outer(x, y)
-    ys = y.tolist()
-    values = [kernel.fn(xi, yj) for xi in x.tolist() for yj in ys]
-    return np.array(values, dtype=float).reshape(x.size, y.size)
+    values = itertools.starmap(kernel.fn, itertools.product(x.tolist(), y.tolist()))
+    return np.fromiter(values, float, x.size * y.size).reshape(x.size, y.size)
 
 
 def kernel_factors(
@@ -108,37 +107,40 @@ def kernel_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factors ``(A, B)`` with ``K(x[i], y[j]) = sum_k A[k, i] B[k, j]``, one rank per row.
 
-    The shipped kernels are separable, ``K(x, y) = K(1, x) K(1, y) / K(1, 1)``,
-    so r = 1: one row each of the rate table.  A ``CustomKernel`` is factored by
-    adaptive cross approximation with partial pivoting (Bebendorf, Numer. Math.
-    86, 2000): each rank reads one residual column and one row of the table.
-    Pivots run over the columns, as ``x`` may repeat a size.  The crosses stop
-    below 1e-14 of their sum in Frobenius norm, or once every column is used,
-    when they interpolate the whole table.  Non-finite values raise
-    ``DivergenceError``.
+    Shipped kernels are separable, ``K(x, y) = K(1, x) K(1, y) / K(1, 1)``: r = 1.
+    A ``CustomKernel`` gets adaptive cross approximation (Bebendorf 2000) with
+    column pivots, as ``x`` may repeat sizes.  It reads each value once: a column
+    off by over 1e-14 of the largest adds a cross; NaN or inf raise DivergenceError.
     """
     x, y, unit = np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.ones(1)
     if not isinstance(kernel, CustomKernel):
         pivot = kernel_eval(kernel, 1.0, 1.0)  # zero for the zero kernel, whose A is zero
         b = kernel_matrix(kernel, unit, y) / pivot if pivot != 0.0 else np.zeros((1, y.size))
         return kernel_matrix(kernel, unit, x), b
-    a, b = np.zeros((0, x.size)), np.zeros((0, y.size))
-    unused, j, total = np.ones(y.size, bool), 0, 0.0
+    a, b = np.zeros((1, x.size)), np.zeros((1, y.size))  # grown by doubling
+    free_rows, free_cols, rank, scale, j = np.ones(x.size, bool), np.ones(y.size, bool), 0, 0.0, 0
     while True:
-        unused[j] = False
-        u = kernel_matrix(kernel, x, y[j : j + 1])[:, 0] - b[:, j] @ a
-        i = np.argmax(np.abs(u))  # the first NaN, if there is one
-        if u[i] == 0.0:  # the residual column vanishes: one zero rank for the zero kernel
-            return (a, b) if len(a) else (np.zeros((1, x.size)), np.zeros((1, y.size)))
-        u, v = u / u[i], kernel_matrix(kernel, x[i : i + 1], y)[0] - a[:, i] @ b
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        free_cols[j] = False
+        u = np.zeros(x.size)
+        u[free_rows] = kernel_matrix(kernel, x[free_rows], y[j : j + 1])[:, 0]
+        scale = np.maximum(scale, np.max(np.abs(u)))  # NaN once a value is
+        u = np.where(free_rows, u - b[:rank, j] @ a[:rank], 0.0)
+        i = np.argmax(np.abs(u))
+        crossed = abs(u[i]) > 1e-14 * scale
+        if crossed:  # row i then has no residual left, nor has a read column: neither is reread
+            v = np.zeros(y.size)
+            v[free_cols] = kernel_matrix(kernel, x[i : i + 1], y[free_cols])[0]
+            scale = np.maximum(scale, np.max(np.abs(v)))
+            v = np.where(free_cols, v - a[:rank, i] @ b[:rank], 0.0)
+            v[j], free_rows[i] = u[i], False
+            if rank == len(a):
+                a, b = (np.concatenate([m, np.empty_like(m)]) for m in (a, b))
+            a[rank], b[rank], rank = u / u[i], v, rank + 1
+        if not np.isfinite(scale):
             raise DivergenceError(f"non-finite collision rate near sizes ({x[i]}, {y[j]})")
-        cross = (u @ u) * (v @ v)
-        total += 2.0 * (a @ u) @ (b @ v) + cross
-        a, b = np.vstack([a, u]), np.vstack([b, v])
-        if cross <= 1e-28 * total or not unused.any():
-            return a, b
-        j = np.argmax(np.where(unused, np.abs(v), -1.0))
+        if not free_cols.any():
+            return a[: max(rank, 1)], b[: max(rank, 1)]  # the zero kernel keeps one zero rank
+        j = np.argmax(np.where(free_cols, np.abs(v), -1.0) if crossed else free_cols)
 
 
 # --------------------------------------------------------------------------

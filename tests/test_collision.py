@@ -13,6 +13,7 @@ from cbelab import (
     ConstantKernel,
     CustomKernel,
     DiscreteFragmentsBreakage,
+    DivergenceError,
     ExponentialIC,
     GridFunction,
     MassUniformBreakage,
@@ -27,19 +28,33 @@ from cbelab import (
     project_initial,
     registry_case,
 )
-from cbelab.cases import kernel_matrix
+from cbelab.cases import kernel_factors, kernel_matrix
 from cbelab.collision import CollisionOperator, birth_map, cauchy_product
 
 LAWS = [MassUniformBreakage(), DiscreteFragmentsBreakage((Fraction(2, 5), Fraction(3, 5)))]
 LAW_IDS = ["mass-uniform", "fragments"]
 # non-separable kernels of rising numerical rank; differential sedimentation
-# has full rank on every grid
-KERNEL_IDS = ["sum", "brownian", "free-molecular", "diff-sedimentation", "product-bump"]
+# has full rank on every grid.  The step and the mid-grid bump hide their
+# non-smooth part from the first pivots, which sit at the first column and the
+# largest sizes.
+KERNEL_IDS = [
+    "sum", "brownian", "free-molecular", "diff-sedimentation", "product-bump",
+    "step", "mid-bump",
+]
+
+
+def _cell_pair(grid, cell, other):
+    """Whether ``(x, y)`` or ``(y, x)`` lies in the cell pair ``(cell, other)``."""
+    lo, hi = grid.edges[cell : cell + 2].tolist()
+    lo2, hi2 = grid.edges[other : other + 2].tolist()
+    return lambda x, y: (lo < x < hi and lo2 < y < hi2) or (lo < y < hi and lo2 < x < hi2)
 
 
 def _custom_kernel(kernel_id, grid):
     third = 1.0 / 3.0
     edge = grid.edges[-2]  # the bump covers the last cell pair only
+    half = float(grid.edges[grid.cells // 2])
+    inside = _cell_pair(grid, grid.cells // 3, grid.cells // 2)
     fn = {
         "sum": lambda x, y: x + y,
         "brownian": lambda x, y: (x**third + y**third) * (x**-third + y**-third),
@@ -48,6 +63,8 @@ def _custom_kernel(kernel_id, grid):
             (x**third + y**third) ** 2 * abs(x ** (2 * third) - y ** (2 * third))
         ),
         "product-bump": lambda x, y: x * y + (1.0 if min(x, y) > edge else 0.0),
+        "step": lambda x, y: 1.0 + (1.0 if min(x, y) > half else 0.0),
+        "mid-bump": lambda x, y: x * y + (1.0 if inside(x, y) else 0.0),
     }[kernel_id]
     return CustomKernel(fn)
 
@@ -157,6 +174,53 @@ def test_factored_custom_kernel_matches_dense_table(law, kernel_id, rng):
     ]
     for fast, ref in pairs:
         assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "kernel_id, rank",
+    [("sum", 2), ("step", 2), ("mid-bump", 3), ("diff-sedimentation", 300), ("min", 300)],
+)
+def test_custom_kernel_factors_reproduce_the_table(kernel_id, rank):
+    # full-rank kernels take one cross per column; the rows repeat sizes as
+    # the stacked series sites do
+    grid = build_grid(10.0, 300)
+    kernel = CustomKernel(min) if kernel_id == "min" else _custom_kernel(kernel_id, grid)
+    x, y = np.concatenate([0.5 * grid.midpoints, grid.midpoints]), grid.midpoints
+    a, b = kernel_factors(kernel, x, y)
+    table = kernel_matrix(kernel, x, y)
+    assert a.shape == (rank, x.size) and b.shape == (rank, y.size)
+    assert np.max(np.abs(a.T @ b - table)) <= 1e-14 * np.max(np.abs(table))
+
+
+def test_custom_kernel_reads_each_rate_once():
+    grid = build_grid(10.0, 60)
+    x, y = np.concatenate([0.5 * grid.midpoints, grid.midpoints]), grid.midpoints
+    calls = []
+    kernel_factors(CustomKernel(lambda p, q: calls.append((p, q)) or p + q), x, y)
+    assert sorted(calls) == sorted((p, q) for p in x.tolist() for q in y.tolist())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "where, rate",
+    [
+        (lambda grid: lambda x, y: min(x, y) > grid.edges[grid.cells // 2], lambda x, y: 1.0),
+        (lambda grid: _cell_pair(grid, grid.cells // 3, grid.cells // 2), lambda x, y: 1.0),
+        (lambda grid: lambda x, y: min(x, y) > grid.edges[-2], lambda x, y: x * y),
+    ],
+    ids=["block", "cell-pair", "last-cell-pair"],
+)
+def test_non_finite_rate_off_the_pivots_diverges(where, rate, bad):
+    # the rate is finite in the first column; the last cell pair is read only
+    # through the row the first pivot picks, the largest size for x * y
+    case = registry_case("ex1")
+    grid = build_grid(case.rmax, 40)
+    off = where(grid)
+    case = replace(case, kernel=CustomKernel(lambda x, y: bad if off(x, y) else rate(x, y)))
+    with pytest.raises(DivergenceError):
+        integrate(case, grid, (0.0, case.tend))
+    with pytest.raises(DivergenceError):
+        ahpm_terms(case, grid, 3)
 
 
 @pytest.mark.parametrize(
