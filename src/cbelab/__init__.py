@@ -63,6 +63,7 @@ from .metrics import (
     ham_contraction,
     moments_over_time,
     number_error,
+    reference_moment,
 )
 from .series import (
     AlphaResult,

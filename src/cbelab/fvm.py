@@ -16,7 +16,7 @@ import numpy as np
 from .cases import CaseSpec
 from .collision import CollisionOperator, FragWeights, birth_map
 from .errors import DivergenceError, DomainError, StiffnessError
-from .grid import Grid, GridFunction, project_initial, quad_moment
+from .grid import Grid, GridFunction, project_initial
 
 __all__ = [
     "FragWeights",
@@ -52,14 +52,12 @@ _MIN_STEP = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class FvmSolution:
-    """Time-stamped concentration snapshots plus moment and health diagnostics."""
+    """Time-stamped concentration snapshots plus stepper work counts."""
 
     case: CaseSpec
     grid: Grid
     times: np.ndarray
     snapshots: tuple[GridFunction, ...]
-    moments: np.ndarray  # shape (len(times), 3)
-    min_values: np.ndarray
     step_count: int
     rhs_evaluations: int
 
@@ -253,18 +251,11 @@ def integrate(
     else:
         raw, steps = _integrate_rk4(rhs, y0, out_times, rk4_steps)
 
-    snapshots = tuple(GridFunction(grid, y) for y in raw)
-    moments = np.array(
-        [[quad_moment(s, n) for n in (0, 1, 2)] for s in snapshots]
-    )
-    min_values = np.array([float(np.min(s.values)) for s in snapshots])
     return FvmSolution(
         case=case,
         grid=grid,
         times=out_times.copy(),
-        snapshots=snapshots,
-        moments=moments,
-        min_values=min_values,
+        snapshots=tuple(GridFunction(grid, y) for y in raw),
         step_count=steps,
         rhs_evaluations=evaluations,
     )

@@ -5,21 +5,21 @@ geometric error bounds of the series methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cases import CaseSpec, exact_concentration
 from .errors import DomainError, NoExactReferenceError
-from .fvm import FvmSolution
 from .grid import Grid, GridFunction, l1_norm, quad_moment
-from .series import SeriesSolution, truncated_sum
+from .series import SeriesSolution
 
 __all__ = [
     "MomentTable",
     "moments_over_time",
     "abs_error_grid",
     "number_error",
+    "reference_moment",
     "eoc",
     "consecutive_term_norm",
     "geometric_error_bound",
@@ -31,58 +31,36 @@ _GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
 MASS_DRIFT_TOL = 1e-2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTable:
-    """Rows of (time, M0, M1, M2) for one case/method pair."""
+    """Moments M0–M2 (shape ``(len(times), 3)``) and minimum of each profile, and the
+    largest relative drift of the mass M1 from its initial value."""
 
-    case_id: str
-    method: str
     times: tuple[float, ...]
-    rows: tuple[tuple[float, float, float], ...]
-    mass_drift_flagged: bool = field(default=False)
-
-    def moment(self, order: int) -> tuple[float, ...]:
-        if order not in (0, 1, 2):
-            raise DomainError("tabulated moments cover orders 0..2")
-        return tuple(row[order] for row in self.rows)
+    moments: np.ndarray
+    minimum: np.ndarray
+    mass_drift: float
+    mass_drift_flagged: bool
 
 
 def moments_over_time(
-    solution: FvmSolution | SeriesSolution,
-    times=None,
-    mass_drift_tol: float = MASS_DRIFT_TOL,
+    times, profiles, mass_drift_tol: float = MASS_DRIFT_TOL
 ) -> MomentTable:
-    """Tabulate moments 0..2 along the time axis of a solution.
-
-    Finite-volume solutions carry their own output times; series solutions are
-    evaluated at the ``times`` provided.  The table is flagged when the mass
-    column drifts from its initial value by more than ``mass_drift_tol``
-    (relative).
-    """
-    if isinstance(solution, FvmSolution):
-        tvals = tuple(float(t) for t in solution.times)
-        rows = tuple((float(a), float(b), float(c)) for a, b, c in solution.moments)
-        label = "fvm"
-    else:
-        if times is None:
-            raise DomainError("series solutions need explicit output times")
-        tvals = tuple(float(t) for t in times)
-        rows = []
-        for t in tvals:
-            g = truncated_sum(solution, solution.order, t)
-            rows.append(tuple(quad_moment(g, n) for n in (0, 1, 2)))
-        rows = tuple(rows)
-        label = solution.method
-    mass0 = rows[0][1]
-    flagged = any(
-        abs(row[1] - mass0) > mass_drift_tol * abs(mass0) for row in rows[1:]
-    )
+    """Tabulate the midpoint-rule moments 0..2 and the minimum of the profile
+    at each of ``times``."""
+    if not len(times) or len(times) != len(profiles):
+        raise DomainError(f"need one profile per output time, got {len(profiles)} for {len(times)}")
+    moments = np.array([[quad_moment(g, n) for n in (0, 1, 2)] for g in profiles])
+    minimum = np.array([np.min(g.values) for g in profiles])
+    mass = moments[:, 1]
+    gap = float(np.max(np.abs(mass - mass[0])))
+    drift = gap / abs(mass[0]) if mass[0] else (math.inf if gap else 0.0)
     return MomentTable(
-        case_id=solution.case.id,
-        method=label,
-        times=tvals,
-        rows=rows,
-        mass_drift_flagged=flagged,
+        times=tuple(float(t) for t in times),
+        moments=moments,
+        minimum=minimum,
+        mass_drift=drift,
+        mass_drift_flagged=drift > mass_drift_tol,
     )
 
 
@@ -92,14 +70,14 @@ def abs_error_grid(approx: GridFunction, case: CaseSpec, t: float) -> GridFuncti
     return GridFunction(approx.grid, np.abs(approx.values - exact))
 
 
-def _reference_number(case: CaseSpec, grid: Grid, t: float) -> float:
-    """High-accuracy total number of the exact solution over the grid domain."""
+def reference_moment(case: CaseSpec, grid: Grid, t: float, order: int = 0) -> float:
+    """Moment ``order`` of the exact solution over the grid domain, by 20-point
+    Gauss–Legendre quadrature on every cell."""
     half = 0.5 * grid.widths
-    mid = grid.midpoints
     total = 0.0
     for node, weight in zip(_GL20_NODES, _GL20_WEIGHTS):
-        x = mid + half * node
-        total += weight * float(np.sum(exact_concentration(case, t, x) * half))
+        x = grid.midpoints + half * node
+        total += weight * float(np.sum(x**order * exact_concentration(case, t, x) * half))
     return total
 
 
@@ -107,9 +85,7 @@ def number_error(approx: GridFunction, case: CaseSpec, t: float) -> float:
     """Total-number discrepancy between an approximation and the exact solution."""
     if case.exact.concentration is None:
         raise NoExactReferenceError(f"case {case.id!r} has no exact concentration")
-    grid = approx.grid
-    numeric = float(np.sum(approx.values * grid.widths))
-    return abs(_reference_number(case, grid, t) - numeric)
+    return abs(reference_moment(case, approx.grid, t) - quad_moment(approx, 0))
 
 
 def eoc(error_coarse: float, error_fine: float) -> float:

@@ -90,7 +90,7 @@ class TimePoly:
         return GridFunction(self.grid, self.coeffs[k])
 
     def eval(self, t: float) -> GridFunction:
-        return GridFunction(self.grid, _poly_eval(self.coeffs, t))
+        return GridFunction(self.grid, _checked(_poly_eval(self.coeffs, t), f"polynomial at t={t:g}"))
 
 
 def _poly_eval(coeffs: np.ndarray, t: float) -> np.ndarray:
@@ -123,11 +123,11 @@ def poly_mul(p: TimePoly, q: TimePoly) -> TimePoly:
     return TimePoly(p.grid, cauchy_product(p.coeffs, q.coeffs))
 
 
-def _checked(coeffs: np.ndarray, what: str) -> np.ndarray:
-    """Computed coefficients, which must be finite (a numerical failure, not bad input)."""
-    if not np.all(np.isfinite(coeffs)):
-        raise NumericalError(f"{what} has non-finite coefficients")
-    return coeffs
+def _checked(values: np.ndarray, what: str) -> np.ndarray:
+    """Computed coefficients or values, which must be finite (a numerical failure, not bad input)."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what} has non-finite values")
+    return values
 
 
 def poly_antiderivative(p: TimePoly) -> TimePoly:
@@ -260,7 +260,7 @@ def truncated_sum(series: SeriesSolution, m: int, t: float) -> GridFunction:
     acc = np.zeros(series.grid.cells)
     for term in series.terms[: m + 1]:
         acc += _poly_eval(term.coeffs, t)
-    return GridFunction(series.grid, acc)
+    return GridFunction(series.grid, _checked(acc, f"order-{m} {series.method} sum at t={t:g}"))
 
 
 def _stack_terms(terms: Sequence[TimePoly]) -> np.ndarray:

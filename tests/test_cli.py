@@ -181,15 +181,57 @@ class TestSolveCommand:
         assert code == EXIT_NUMERICAL
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_series_maps_to_exit_3(self, tmp_path):
-        # AHPM term degrees double with the order and overflow on a wide domain
-        code = main(
-            [
-                "solve", "--case", "ex1", "--method", "ahpm", "--order", "9",
-                "--cells", "20", "--rmax", "200", "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == EXIT_NUMERICAL
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # AHPM term degrees double with the order and overflow on a wide domain
+            pytest.param(
+                ["solve", "--case", "ex1", "--method", "ahpm", "--order", "9",
+                 "--cells", "20", "--rmax", "200"],
+                id="order9-rmax200",
+            ),
+            # finite terms whose sum overflows only when evaluated at a far horizon
+            pytest.param(
+                ["solve", "--case", "ex1", "--method", "ahpm", "--order", "7",
+                 "--cells", "40", "--tend", "1e40"],
+                id="solve-tend1e40",
+            ),
+            pytest.param(
+                ["eoc", "--case", "ex1", "--method", "ahpm", "--order", "5",
+                 "--cell-list", "30,60", "--tend", "1e50"],
+                id="eoc-tend1e50",
+            ),
+        ],
+    )
+    def test_non_finite_series_maps_to_exit_3(self, tmp_path, argv):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == EXIT_NUMERICAL
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "method, extra", [("fvm", []), ("ham", ["--alpha", "-0.8"]), ("ahpm", [])]
+    )
+    def test_moment_csv_matches_moment_table(self, tmp_path, method, extra):
+        out = tmp_path / method
+        argv = ["solve", "--case", "ex1", "--method", method, "--cells", "60", "--out", str(out)]
+        assert main(argv + extra) == EXIT_OK
+        case = cbelab.registry_case("ex1")
+        grid = cbelab.build_grid(case.rmax, 60)
+        times = tuple(np.linspace(0.0, case.tend, 11))
+        if method == "fvm":
+            profiles = cbelab.integrate(case, grid, times).snapshots
+        else:
+            if method == "ham":
+                series = cbelab.ham_terms(case, grid, 5, -0.8)
+            else:
+                series = cbelab.ahpm_terms(case, grid, 5)
+            profiles = [cbelab.truncated_sum(series, 5, t) for t in times]
+        table = cbelab.moments_over_time(times, profiles)
+        expected = [
+            ",".join(["ex1", method] + [f"{v:.12g}" for v in (t, *row)])
+            for t, row in zip(table.times, table.moments)
+        ]
+        assert (out / "moments.csv").read_text().splitlines()[2:] == expected
 
 
 class TestEocCommand:

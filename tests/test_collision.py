@@ -6,8 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from support import brute_force_rhs
-
 from cbelab import (
     CaseSpec,
     ConstantKernel,
@@ -29,7 +27,7 @@ from cbelab import (
     registry_case,
 )
 from cbelab.cases import kernel_factors, kernel_matrix
-from cbelab.collision import CollisionOperator, birth_map, cauchy_product
+from cbelab.collision import CollisionOperator, birth_map, brute_force_rhs, cauchy_product
 
 LAWS = [MassUniformBreakage(), DiscreteFragmentsBreakage((Fraction(2, 5), Fraction(3, 5)))]
 LAW_IDS = ["mass-uniform", "fragments"]

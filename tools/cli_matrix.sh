@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# Run a fixed matrix of cbelab command lines against the package under SRC and
+# keep each one's output files, stdout and exit code under OUT.  Every run
+# writes to a path relative to OUT, so two trees give the same results when
+#
+#     diff -r OUT_A OUT_B
+#
+# reports nothing but the wall_time_s lines of run.json and alpha.json.
+#
+# usage: tools/cli_matrix.sh SRC OUT    (SRC is the directory holding cbelab/)
+set -u
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd) || exit 2
+mkdir -p "$2" && cd "$2" || exit 2
+
+# run NAME ARGS...: outputs in NAME/, stdout in NAME.stdout, exit code in NAME.exit
+run() {
+    local name=$1
+    shift
+    PYTHONPATH="$src" python3 -m cbelab.cli "$@" --out "$name" >"$name.stdout"
+    echo $? >"$name.exit"
+}
+
+run reproduce-40 reproduce all --cells 40
+run reproduce-300 reproduce all --cells 300
+for case in ex1 ex2 ex3; do
+    for method in fvm ahpm; do
+        run "solve-$case-$method-uniform" solve --case "$case" --method "$method" --cells 120
+        run "solve-$case-$method-geometric" solve --case "$case" --method "$method" --cells 120 \
+            --grid-scheme geometric --eps-min 1e-3
+    done
+    run "solve-$case-ham-auto" solve --case "$case" --method ham --alpha auto --cells 200
+done
+run solve-ex1-fvm-4000 solve --case ex1 --method fvm --cells 4000
+run solve-ex1-ham-fixed solve --case ex1 --method ham --alpha -0.8 --times 0,0.25,0.5,1 --cells 120
+run eoc-ex1-fvm eoc --case ex1 --method fvm
+run eoc-ex1-ahpm eoc --case ex1 --method ahpm
+run optimize-alpha-ex2 optimize-alpha --case ex2 --order 5 --cells 200
+run validate validate
