@@ -154,11 +154,6 @@ class MassUniformBreakage:
     Independent of the colliding partner size.
     """
 
-    def density(self, x: float, parent: float) -> float:
-        if 0.0 < x < parent:
-            return 2.0 / parent
-        return 0.0
-
 
 @dataclass(frozen=True)
 class DiscreteFragmentsBreakage:

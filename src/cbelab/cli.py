@@ -599,7 +599,7 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
     weights = precompute_weights(small, case1.breakage)
     f = GridFunction(small, rng.uniform(0.0, 1.0, small.cells))
     fast = fvm_rhs(small, weights, case1.kernel, f).values
-    slow = brute_force_rhs(small, weights.table, case1.kernel, f.values)
+    slow = brute_force_rhs(small, case1.breakage, case1.kernel, f.values)
     checks.append(
         (
             "rhs-brute-force",
@@ -702,7 +702,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        # overflow is caught as a non-finite value before any output
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _dispatch(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

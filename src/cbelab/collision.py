@@ -25,7 +25,7 @@ Birth maps:
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "CollisionOperator",
     "birth_map",
     "brute_force_rhs",
+    "fragment_shares",
     "cauchy_product",
 ]
 
@@ -77,18 +78,6 @@ class FragWeights:
     def __call__(self, c: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        """Dense view ``w[i, j]``: fragments landing in cell i per collision of
-        a parent in cell j; zero below the diagonal.  Built on first access.
-        """
-        table = self._table()
-        table.setflags(write=False)
-        return table
-
-    def _table(self) -> np.ndarray:
-        raise DomainError(f"{type(self).__name__} has no cell-to-cell table")
-
 
 class _MassUniformWeights(FragWeights):
     def __call__(self, c: np.ndarray) -> np.ndarray:
@@ -97,12 +86,6 @@ class _MassUniformWeights(FragWeights):
         d = c * (grid.widths / grid.midpoints)
         tail = np.cumsum(d[..., ::-1], axis=-1)[..., ::-1]
         return 2.0 * tail - d
-
-    def _table(self) -> np.ndarray:
-        mid, lower = self.grid.midpoints, self.grid.edges[:-1]
-        table = np.triu(2.0 * self.grid.widths[:, None] / mid[None, :], k=1)
-        np.fill_diagonal(table, 2.0 * (mid - lower) / mid)
-        return table
 
 
 class _CellWeights(FragWeights):
@@ -120,13 +103,6 @@ class _CellWeights(FragWeights):
         for target in self.targets:
             np.add.at(out, (..., target), number)
         return out / self.grid.widths
-
-    def _table(self) -> np.ndarray:
-        cells = self.grid.cells
-        table = np.zeros((cells, cells))
-        for target in self.targets:
-            table[target, np.arange(cells)] += 1.0
-        return table
 
 
 class _InterpolatedWeights(FragWeights):
@@ -199,12 +175,32 @@ class CollisionOperator:
         return self.birth(f, f) - self.death(f, f)
 
 
-def brute_force_rhs(grid: Grid, table: np.ndarray, kernel, f: np.ndarray) -> np.ndarray:
+def fragment_shares(grid: Grid, breakage) -> np.ndarray:
+    """Dense ``s[i, j]``: fragments that one collision of a parent at the
+    midpoint ``m_j`` puts in cell ``i``, read off the breakage law.  Only
+    ``brute_force_rhs`` reads it; the solvers run the O(N) birth maps.
+    """
+    lo, hi, mid = grid.edges[:-1, None], grid.edges[1:, None], grid.midpoints
+    if isinstance(breakage, MassUniformBreakage):
+        # density 2 / m_j on (0, m_j), integrated over each cell
+        return 2.0 * np.clip(np.minimum(hi, mid) - lo, 0.0, None) / mid
+    if isinstance(breakage, DiscreteFragmentsBreakage):
+        # the cell rule: a fragment exactly on an edge belongs to the right cell
+        return sum(
+            ((lo <= ratio * mid) & (ratio * mid < hi)).astype(float)
+            for ratio in breakage.ratio_floats
+        )
+    raise DomainError(f"unsupported breakage law {type(breakage).__name__}")
+
+
+def brute_force_rhs(grid: Grid, breakage, kernel, f: np.ndarray) -> np.ndarray:
     """Reference ``gain - loss`` by the direct triple loop over cells.
 
-    Reads only ``kernel_eval`` and the dense birth ``table``, so it checks the
-    factored operator above independently.  O(N^3): small grids only.
+    Reads only ``kernel_eval`` and the ``fragment_shares`` of the law, so it
+    checks the factored operator and the birth maps above independently.
+    O(N^3): small grids only.
     """
+    shares = fragment_shares(grid, breakage)
     mid, w = grid.midpoints, grid.widths
     n = grid.cells
     out = np.zeros(n)
@@ -214,7 +210,7 @@ def brute_force_rhs(grid: Grid, table: np.ndarray, kernel, f: np.ndarray) -> np.
             for l in range(n):
                 birth += (
                     kernel_eval(kernel, mid[j], mid[l])
-                    * f[j] * f[l] * w[j] * w[l] * table[i, j]
+                    * f[j] * f[l] * w[j] * w[l] * shares[i, j]
                 )
         death = sum(
             kernel_eval(kernel, mid[i], mid[j]) * f[i] * f[j] * w[j]

@@ -28,10 +28,7 @@ __all__ = [
 
 
 def precompute_weights(grid: Grid, breakage) -> FragWeights:
-    """Cell-rule birth map for one breakage law on one grid.
-
-    Applying it costs O(N); the dense ``table`` view is built only on access.
-    """
+    """Cell-rule birth map for one breakage law on one grid; applying it costs O(N)."""
     return birth_map(grid, breakage)
 
 

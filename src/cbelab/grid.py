@@ -38,7 +38,6 @@ class Grid:
     """
 
     edges: np.ndarray
-    scheme: str = "uniform"
     midpoints: np.ndarray = field(init=False, repr=False)
     widths: np.ndarray = field(init=False, repr=False)
 
@@ -97,7 +96,7 @@ def build_grid(
         edges[-1] = rmax  # clamp the accumulated power to the exact endpoint
     else:
         raise DomainError(f"unknown grid scheme {scheme!r}")
-    return Grid(edges=edges, scheme=scheme)
+    return Grid(edges=edges)
 
 
 @dataclass(frozen=True, eq=False)

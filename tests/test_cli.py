@@ -180,7 +180,7 @@ class TestSolveCommand:
         )
         assert code == EXIT_NUMERICAL
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv",
         [

@@ -23,20 +23,20 @@ from cbelab import (
     project_initial,
     registry_case,
 )
-from cbelab.collision import CollisionOperator, brute_force_rhs
+from cbelab.collision import CollisionOperator, brute_force_rhs, fragment_shares
 from cbelab.fvm import _ATOL, _RTOL, _integrate_dopri54
 
 
 class TestWeights:
     def test_mass_uniform_same_cell(self):
         grid = build_grid(1.0, 4)
-        table = precompute_weights(grid, MassUniformBreakage()).table
+        table = fragment_shares(grid, MassUniformBreakage())
         for i in range(4):
             assert table[i, i] == pytest.approx(grid.widths[i] / grid.midpoints[i])
 
     def test_mass_uniform_distinct_cells(self):
         grid = build_grid(1.0, 4)
-        table = precompute_weights(grid, MassUniformBreakage()).table
+        table = fragment_shares(grid, MassUniformBreakage())
         for i in range(4):
             for j in range(i + 1, 4):
                 assert table[i, j] == pytest.approx(
@@ -48,7 +48,7 @@ class TestWeights:
     def test_discrete_fragments_indicator(self):
         grid = build_grid(1.0, 4)
         law = DiscreteFragmentsBreakage((Fraction(2, 5), Fraction(3, 5)))
-        table = precompute_weights(grid, law).table
+        table = fragment_shares(grid, law)
         # parent midpoint 0.875: fragment 0.35 lands in [0.25, 0.5), 0.525 in [0.5, 0.75)
         assert table[1, 3] == 1.0
         assert table[2, 3] == 1.0
@@ -60,15 +60,35 @@ class TestWeights:
             MassUniformBreakage(),
             DiscreteFragmentsBreakage((Fraction(2, 5), Fraction(3, 5))),
         ):
-            table = precompute_weights(grid, law).table
+            table = fragment_shares(grid, law)
             assert np.sum(table, axis=0) == pytest.approx(np.full(57, 2.0))
 
     def test_fragment_mass_stays_bounded(self):
         grid = build_grid(10.0, 64)
-        table = precompute_weights(grid, MassUniformBreakage()).table
+        table = fragment_shares(grid, MassUniformBreakage())
         mass_per_parent = grid.midpoints @ table
         slack = np.max(grid.widths)
         assert np.all(mass_per_parent <= grid.midpoints + slack)
+
+    def test_fragment_shares_reject_other_laws(self):
+        with pytest.raises(DomainError):
+            fragment_shares(build_grid(1.0, 4), object())
+
+    @pytest.mark.parametrize("cells", [57, 300])
+    @pytest.mark.parametrize("scheme, eps_min", [("uniform", None), ("geometric", 1e-3)])
+    @pytest.mark.parametrize(
+        "law",
+        [MassUniformBreakage(), DiscreteFragmentsBreakage((Fraction(2, 5), Fraction(3, 5)))],
+        ids=["mass-uniform", "two-fifths"],
+    )
+    def test_birth_map_conserves_fragments_per_event(self, law, scheme, eps_min, cells):
+        # row j of the unit densities holds w_j collision events of parents in cell j
+        grid = build_grid(10.0, cells, scheme, eps_min)
+        mid, w = grid.midpoints, grid.widths
+        birth = precompute_weights(grid, law)(np.eye(cells))
+        fragments = np.sum(birth * w, axis=1) / w
+        assert np.max(np.abs(fragments - 2.0)) <= 2.0 * 1e-14
+        assert np.all(np.sum(birth * (mid * w), axis=1) / w <= mid + np.max(w))
 
 
 class TestRhs:
@@ -84,7 +104,7 @@ class TestRhs:
         weights = precompute_weights(grid, ex1.breakage)
         f = GridFunction(grid, np.array([0.7, 0.4, 0.1]))
         fast = fvm_rhs(grid, weights, ex1.kernel, f).values
-        slow = brute_force_rhs(grid, weights.table, ex1.kernel, f.values)
+        slow = brute_force_rhs(grid, ex1.breakage, ex1.kernel, f.values)
         assert fast == pytest.approx(slow, abs=1e-12)
 
     @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
@@ -95,7 +115,7 @@ class TestRhs:
         weights = precompute_weights(grid, case.breakage)
         f = GridFunction(grid, rng.uniform(0.0, 1.0, cells))
         fast = fvm_rhs(grid, weights, case.kernel, f).values
-        slow = brute_force_rhs(grid, weights.table, case.kernel, f.values)
+        slow = brute_force_rhs(grid, case.breakage, case.kernel, f.values)
         assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_total_loss_rate_is_quadratic_form(self, ex1):

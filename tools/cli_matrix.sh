@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run a fixed matrix of cbelab command lines against the package under SRC and
-# keep each one's output files, stdout and exit code under OUT.  Every run
+# keep each one's output files, stdout, stderr and exit code under OUT.  Every run
 # writes to a path relative to OUT, so two trees give the same results when
 #
 #     diff -r OUT_A OUT_B
@@ -16,11 +16,12 @@ fi
 src=$(cd "$1" && pwd) || exit 2
 mkdir -p "$2" && cd "$2" || exit 2
 
-# run NAME ARGS...: outputs in NAME/, stdout in NAME.stdout, exit code in NAME.exit
+# run NAME ARGS...: outputs in NAME/, stdout in NAME.stdout, stderr in
+# NAME.stderr, exit code in NAME.exit
 run() {
     local name=$1
     shift
-    PYTHONPATH="$src" python3 -m cbelab.cli "$@" --out "$name" >"$name.stdout"
+    PYTHONPATH="$src" python3 -m cbelab.cli "$@" --out "$name" >"$name.stdout" 2>"$name.stderr"
     echo $? >"$name.exit"
 }
 
@@ -40,3 +41,6 @@ run eoc-ex1-fvm eoc --case ex1 --method fvm
 run eoc-ex1-ahpm eoc --case ex1 --method ahpm
 run optimize-alpha-ex2 optimize-alpha --case ex2 --order 5 --cells 200
 run validate validate
+# series overflow: exit code 3 and a stderr of one "numerical failure:" line
+run solve-ex1-ahpm-tend1e40 solve --case ex1 --method ahpm --order 7 --cells 40 --tend 1e40
+run solve-ex1-ahpm-rmax200 solve --case ex1 --method ahpm --order 9 --cells 20 --rmax 200
