@@ -302,7 +302,7 @@ def _output_times(case: CaseSpec, times=None) -> tuple[float, ...]:
 
 
 def _run(case: CaseSpec, grid, method: str, order: int, alpha: float | None, times):
-    """Profiles of one method at ``times``, plus its FVM solution or series.
+    """Profiles of one method at ``times`` (none if empty), plus its FVM solution or series.
 
     The one place that dispatches on the method; only ham reads ``alpha``.
     """
@@ -313,14 +313,15 @@ def _run(case: CaseSpec, grid, method: str, order: int, alpha: float | None, tim
         series = ham_terms(case, grid, order, alpha)
     else:
         series = ahpm_terms(case, grid, order)
-    return [truncated_sum(series, order, t) for t in times], series
+    return list(truncated_sum(series, order, times) if len(times) else ()), series
 
 
 class _Runs:
     """Runs on uniform grids at the 11 output times up to the horizon, each
     (case, method, order, cells) computed at most once per invocation.
 
-    ham uses ``alpha``, or the case's published value when it is None.
+    ham uses ``alpha``, or the case's published value when it is None.  A
+    series is summed at all 11 times in one ``truncated_sum`` call.
     Dormand–Prince 5(4) steps do not depend on the output times, so the
     horizon profile is the one a run to the horizon alone gives.
     """

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cbelab import (
     DomainError,
     GridFunction,
+    GridMismatchError,
     NoExactReferenceError,
     SeriesSolution,
     TimePoly,
@@ -18,17 +19,31 @@ from cbelab import (
     exact_concentration,
     geometric_error_bound,
     ham_contraction,
+    ham_terms,
     integrate,
     l1_distance,
     moments_over_time,
     number_error,
     project_initial,
+    quad_moment,
+    reference_moment,
     truncated_sum,
 )
 
 
 def series_profiles(series, times):
     return [truncated_sum(series, series.order, t) for t in times]
+
+
+def bits_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def scheme_grid(case, scheme, cells):
+    return build_grid(case.rmax, cells, scheme, 1e-3 if scheme == "geometric" else None)
+
+
+SCHEMES = pytest.mark.parametrize("scheme, cells", [("uniform", 300), ("geometric", 200)])
 
 
 class TestMoments:
@@ -76,6 +91,46 @@ class TestMoments:
         table = moments_over_time(times, series_profiles(ahpm_terms(ex1, grid, 7), times))
         assert table.times[5] == 0.5
         assert table.minimum[5] < 0
+
+    @SCHEMES
+    def test_matches_per_profile_quadrature_and_minimum(self, ex1, scheme, cells):
+        grid = scheme_grid(ex1, scheme, cells)
+        times = tuple(np.linspace(0.0, 1.0, 11))
+        for profiles in (
+            truncated_sum(ahpm_terms(ex1, grid, 7), 7, times),
+            truncated_sum(ham_terms(ex1, grid, 5, -0.8), 5, times),
+            integrate(ex1, grid, times).snapshots,
+        ):
+            table = moments_over_time(times, profiles)
+            moments = np.array([[quad_moment(g, n) for n in (0, 1, 2)] for g in profiles])
+            assert bits_equal(table.moments, moments)
+            assert bits_equal(table.minimum, np.array([np.min(g.values) for g in profiles]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cells=st.sampled_from([2, 7, 300, 9001]),
+        profiles=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_signed_profiles_match_per_profile_quadrature(self, cells, profiles, seed):
+        # signed values with exact zeros of both signs, on cell counts either
+        # side of the reduction block sizes
+        rng = np.random.default_rng(seed)
+        grid = build_grid(10.0, cells, "geometric", 1e-3)
+        values = rng.normal(size=(profiles, cells)) * (rng.random((profiles, cells)) < 0.8)
+        values[rng.random((profiles, cells)) < 0.1] = -0.0
+        given_profiles = [GridFunction(grid, row) for row in values]
+        table = moments_over_time(tuple(range(profiles)), given_profiles)
+        moments = np.array([[quad_moment(g, n) for n in (0, 1, 2)] for g in given_profiles])
+        assert bits_equal(table.moments, moments)
+        assert bits_equal(table.minimum, np.array([np.min(g.values) for g in given_profiles]))
+
+    def test_profiles_on_different_grids_are_refused(self, ex1):
+        # equal cell counts: only grid identity tells the two apart
+        first, second = build_grid(ex1.rmax, 40), build_grid(ex1.rmax, 40)
+        profiles = [project_initial(ex1.init, first), project_initial(ex1.init, second)]
+        with pytest.raises(GridMismatchError):
+            moments_over_time((0.0, 0.5), profiles)
 
 
 class TestAbsError:
@@ -141,6 +196,19 @@ class TestNumberError:
         g = project_initial(ex2.init, grid)
         with pytest.raises(NoExactReferenceError):
             number_error(g, ex2, 0.5)
+
+    @SCHEMES
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_reference_moment_matches_the_per_node_loop(self, ex1, scheme, cells, order):
+        grid = scheme_grid(ex1, scheme, cells)
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        half = 0.5 * grid.widths
+        for t in (0.0, 0.35, 1.0):
+            expected = 0.0
+            for node, weight in zip(nodes, weights):
+                x = grid.midpoints + half * node
+                expected += weight * float(np.sum(x**order * exact_concentration(ex1, t, x) * half))
+            assert bits_equal(np.float64(reference_moment(ex1, grid, t, order)), np.float64(expected))
 
 
 class TestEoc:

@@ -1,12 +1,17 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbelab import (
     DomainError,
+    GridFunction,
     GridMismatchError,
     NoOracleError,
+    NumericalError,
     SeriesSolution,
     TimePoly,
     UnknownCaseError,
@@ -311,6 +316,82 @@ class TestTruncatedSum:
         series = ahpm_terms(ex1, grid, 2)
         with pytest.raises(DomainError):
             truncated_sum(series, 3, 0.5)
+
+    def test_times_must_form_a_non_empty_flat_sequence(self, ex1):
+        series = ahpm_terms(ex1, build_grid(ex1.rmax, 16), 2)
+        for times in ((), [], np.array([]), np.zeros((2, 2)), [[0.0, 0.5]]):
+            with pytest.raises(DomainError):
+                truncated_sum(series, 2, times)
+
+
+def bits_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def horner_per_time(series, m, t):
+    """Partial sum at one time: Horner on each term's rows, then the terms in order."""
+    acc = np.zeros(series.grid.cells)
+    for term in series.terms[: m + 1]:
+        out = np.zeros(series.grid.cells)
+        for row in term.coeffs[::-1]:
+            out = out * t + row
+        acc += out
+    return acc
+
+
+@lru_cache(maxsize=None)
+def ex1_series(method, scheme, cells):
+    """Order-7 ex1 series (ham at alpha = -0.8); every lower order is a prefix."""
+    case = registry_case("ex1")
+    grid = build_grid(case.rmax, cells, scheme, 1e-3 if scheme == "geometric" else None)
+    return ham_terms(case, grid, 7, -0.8) if method == "ham" else ahpm_terms(case, grid, 7)
+
+
+class TestTruncatedSumAtManyTimes:
+    """A sequence of times gives, bit for bit, the sums of one call per time."""
+
+    @pytest.mark.parametrize("scheme, cells", [("uniform", 300), ("geometric", 200)])
+    @pytest.mark.parametrize("method", ["ham", "ahpm"])
+    def test_matches_one_call_per_time(self, method, scheme, cells):
+        series = ex1_series(method, scheme, cells)
+        times = tuple(np.linspace(0.0, series.case.tend, 11))
+        for m in range(1, 8):
+            sums = truncated_sum(series, m, times)
+            assert isinstance(sums, tuple) and len(sums) == len(times)
+            for t, g in zip(times, sums):
+                single = truncated_sum(series, m, t)
+                assert isinstance(single, GridFunction) and g.grid is series.grid
+                assert bits_equal(g.values, single.values)
+                assert bits_equal(g.values, horner_per_time(series, m, t))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        method=st.sampled_from(["ham", "ahpm"]),
+        scheme=st.sampled_from([("uniform", 300), ("geometric", 200)]),
+        m=st.integers(1, 7),
+        times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).map(sorted),
+    )
+    def test_random_ascending_times(self, method, scheme, m, times):
+        series = ex1_series(method, *scheme)
+        for t, g in zip(times, truncated_sum(series, m, times)):
+            assert bits_equal(g.values, truncated_sum(series, m, t).values)
+            assert bits_equal(g.values, horner_per_time(series, m, t))
+
+    def test_array_of_times_and_a_zero_dimensional_time(self):
+        series = ex1_series("ahpm", "uniform", 300)
+        times = np.array([0.25, 1.0])
+        assert [g.values.tolist() for g in truncated_sum(series, 5, times)] == [
+            truncated_sum(series, 5, float(t)).values.tolist() for t in times
+        ]
+        assert isinstance(truncated_sum(series, 5, np.float64(0.5)), GridFunction)
+        assert isinstance(truncated_sum(series, 5, np.array(0.5)), GridFunction)
+
+    def test_overflow_names_the_first_non_finite_time(self, ex1):
+        grid = build_grid(ex1.rmax, 8)
+        steep = TimePoly(grid, np.array([np.ones(8), np.full(8, 1e300)]))
+        series = SeriesSolution(method="ahpm", case=ex1, grid=grid, terms=(steep,))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match=r"at t=1e\+10 "):
+            truncated_sum(series, 0, (0.5, 1.0, 1e10, 1e20))
 
 
 class TestResidual:
