@@ -7,7 +7,6 @@ Everything here is immutable after construction and safe to share across threads
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -54,8 +53,8 @@ class ConstantKernel:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise DomainError(f"collision rate must be non-negative, got {self.rate}")
+        if not 0 <= self.rate < np.inf:
+            raise DomainError(f"collision rate must be finite and non-negative, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -65,41 +64,58 @@ class ProductKernel:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.scale < 0:
-            raise DomainError(f"kernel scale must be non-negative, got {self.scale}")
+        if not 0 <= self.scale < np.inf:
+            raise DomainError(f"kernel scale must be finite and non-negative, got {self.scale}")
 
 
 @dataclass(frozen=True)
 class CustomKernel:
-    """Pointwise evaluation contract; ``fn`` must be symmetric and non-negative."""
+    """Symmetric, non-negative rate ``fn(x, y)``, called once per table, column or row
+    on float arrays that broadcast; it returns their broadcast shape, or a scalar.
+    Use ``np.where``, ``np.minimum`` and numpy ufuncs, or wrap it in ``np.vectorize``.
+    """
 
-    fn: Callable[[float, float], float]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 KernelSpec = ConstantKernel | ProductKernel | CustomKernel
+
+
+def _broadcast_call(fn: Callable[..., np.ndarray], *args) -> np.ndarray:
+    """``fn(*args)`` from one call, as a float array of the arguments' broadcast shape."""
+    out = np.empty(np.broadcast_shapes(*map(np.shape, args)))
+    try:
+        if out.size:  # the cross approximation may ask for no values; np.vectorize refuses that
+            out[...] = fn(*args)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"custom function {getattr(fn, '__name__', fn)} must take numpy arrays and return "
+            f"their broadcast shape ({exc}); use np.where and numpy ufuncs, or np.vectorize"
+        ) from exc
+    return out
+
+
+def _rates(kernel: KernelSpec, x, y) -> np.ndarray:
+    """``K(x, y)`` over the broadcast shape of ``x`` and ``y``: the one reader of a formula."""
+    if isinstance(kernel, ConstantKernel):
+        return _broadcast_call(lambda x, y: kernel.rate, x, y)
+    if isinstance(kernel, ProductKernel):
+        # scale * (x * y) is bit-symmetric in x and y, and bit-equal to scale * np.outer
+        return _broadcast_call(lambda x, y: kernel.scale * (x * y), x, y)
+    return _broadcast_call(kernel.fn, x, y)
 
 
 def kernel_eval(kernel: KernelSpec, x: float, y: float) -> float:
     """Collision rate between particle sizes ``x`` and ``y``."""
     if x <= 0 or y <= 0:
         raise DomainError(f"kernel arguments must be positive, got ({x}, {y})")
-    if isinstance(kernel, ConstantKernel):
-        return kernel.rate
-    if isinstance(kernel, ProductKernel):
-        # scale * (x * y) keeps the value bit-symmetric in x and y
-        return kernel.scale * (x * y)
-    return float(kernel.fn(x, y))
+    return float(_rates(kernel, x, y))
 
 
 def kernel_matrix(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rate table ``K[i, j] = K(x[i], y[j])``, vectorised for the shipped kernels."""
+    """Rate table ``K[i, j] = K(x[i], y[j])`` from one call on ``x[:, None]``, ``y[None, :]``."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if isinstance(kernel, ConstantKernel):
-        return np.full((x.size, y.size), kernel.rate)
-    if isinstance(kernel, ProductKernel):
-        return kernel.scale * np.outer(x, y)
-    values = itertools.starmap(kernel.fn, itertools.product(x.tolist(), y.tolist()))
-    return np.fromiter(values, float, x.size * y.size).reshape(x.size, y.size)
+    return _rates(kernel, x[:, None], y[None, :])
 
 
 def kernel_factors(
@@ -212,9 +228,6 @@ def fragment_count(breakage: BreakageSpec, parent: float, other: float) -> float
 class ExponentialIC:
     """Initial distribution ``exp(-x)``."""
 
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        return np.exp(-np.asarray(x, dtype=float))
-
     def integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return np.exp(-lo) - np.exp(-hi)
 
@@ -223,25 +236,17 @@ class ExponentialIC:
 class WeightedExponentialIC:
     """Initial distribution ``x * exp(-x)``."""
 
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        return x * np.exp(-x)
-
     def integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return (1.0 + lo) * np.exp(-lo) - (1.0 + hi) * np.exp(-hi)
 
 
 @dataclass(frozen=True)
 class CustomIC:
-    """Pointwise non-negative initial distribution with finite moments 0..2."""
+    """Non-negative ``fn(x)`` with finite moments 0..2, called once on the array of
+    every cell's Gauss-Legendre nodes; it returns that shape, as ``CustomKernel`` does.
+    """
 
-    fn: Callable[[float], float]
-
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return float(self.fn(float(x)))
-        return np.array([self.fn(float(v)) for v in x])
+    fn: Callable[[np.ndarray], np.ndarray]
 
 
 InitialCondition = ExponentialIC | WeightedExponentialIC | CustomIC
@@ -276,10 +281,10 @@ class CaseSpec:
     tend_limit: float | None = None  # open upper bound when moments blow up
 
     def __post_init__(self) -> None:
-        if self.rmax <= 0:
-            raise DomainError(f"rmax must be positive, got {self.rmax}")
-        if self.tend <= 0:
-            raise DomainError(f"tend must be positive, got {self.tend}")
+        if not 0 < self.rmax < np.inf:
+            raise DomainError(f"rmax must be finite and positive, got {self.rmax}")
+        if not 0 < self.tend < np.inf:
+            raise DomainError(f"tend must be finite and positive, got {self.tend}")
         if self.tend_limit is not None and self.tend >= self.tend_limit:
             raise DomainError(
                 f"case {self.id!r} requires tend < {self.tend_limit}, got {self.tend}"

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cases import CustomIC, InitialCondition
+from .cases import CustomIC, InitialCondition, _broadcast_call
 from .errors import DomainError, GridMismatchError
 
 __all__ = [
@@ -80,8 +80,8 @@ def build_grid(
     grows edges by the constant ratio ``(rmax / eps_min) ** (1 / (cells - 1))``
     so the last edge lands exactly on ``rmax``.
     """
-    if rmax <= 0:
-        raise DomainError(f"rmax must be positive, got {rmax}")
+    if not 0 < rmax < np.inf:
+        raise DomainError(f"rmax must be finite and positive, got {rmax}")
     if cells < 2:
         raise DomainError(f"need at least 2 cells, got {cells}")
     if scheme == "uniform":
@@ -130,17 +130,11 @@ def project_initial(init: InitialCondition, grid: Grid) -> GridFunction:
     Uses the closed-form antiderivative for the shipped exponential profiles
     and 5-point Gauss-Legendre quadrature per cell otherwise.
     """
-    lo, hi = grid.edges[:-1], grid.edges[1:]
-    if isinstance(init, CustomIC):
-        half = 0.5 * grid.widths
-        mid = grid.midpoints
-        acc = np.zeros(grid.cells)
-        for node, weight in zip(_GL5_NODES, _GL5_WEIGHTS):
-            acc += weight * np.asarray(init(mid + half * node), dtype=float)
-        cell_integrals = acc * half
-    else:
-        cell_integrals = init.integral(lo, hi)
-    return GridFunction(grid, cell_integrals / grid.widths)
+    if not isinstance(init, CustomIC):
+        return GridFunction(grid, init.integral(grid.edges[:-1], grid.edges[1:]) / grid.widths)
+    half = 0.5 * grid.widths
+    nodes = grid.midpoints + half * _GL5_NODES[:, None]
+    return GridFunction(grid, _GL5_WEIGHTS @ _broadcast_call(init.fn, nodes) * half / grid.widths)
 
 
 def quad_moment(g: GridFunction, order: int) -> float:

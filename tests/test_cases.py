@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbelab import (
     ConstantKernel,
@@ -22,6 +24,7 @@ from cbelab import (
     registry_case,
     with_overrides,
 )
+from cbelab.cases import kernel_matrix
 
 
 class TestKernels:
@@ -39,7 +42,7 @@ class TestKernels:
             ConstantKernel(2.5),
             ProductKernel(1.0),
             ProductKernel(0.05),
-            CustomKernel(lambda x, y: math.sqrt(x * y)),
+            CustomKernel(lambda x, y: np.sqrt(x * y)),
         ]
         pairs = rng.uniform(1e-6, 100.0, size=(1000, 2))
         for kernel in kernels:
@@ -54,8 +57,31 @@ class TestKernels:
             kernel_eval(ProductKernel(1.0), *bad)
 
     def test_rejects_negative_rate(self):
-        with pytest.raises(DomainError):
-            ConstantKernel(-1.0)
+        for kernel in (ConstantKernel, ProductKernel):
+            for bad in (-1.0, math.nan, math.inf):
+                with pytest.raises(DomainError, match="finite and non-negative"):
+                    kernel(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8),
+        y=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8),
+        rate=st.floats(0.0, 1e3),
+    )
+    def test_table_matches_pointwise_rates_bit_for_bit(self, x, y, rate):
+        # one broadcast call and one call per value read the same formula; these
+        # operations are correctly rounded, so the two agree in every bit
+        x, y = np.array(x), np.array(y)
+        kernels = [
+            ConstantKernel(rate),
+            ProductKernel(rate),
+            CustomKernel(lambda p, q: rate * np.sqrt(p * q) + np.minimum(p, q) / (p + q)),
+        ]
+        for kernel in kernels:
+            table = kernel_matrix(kernel, x, y)
+            pointwise = [[kernel_eval(kernel, p, q) for q in y] for p in x]
+            assert table.shape == (x.size, y.size)
+            assert table.tobytes() == np.array(pointwise).tobytes()
 
 
 class TestBreakage:
@@ -173,3 +199,9 @@ class TestRegistry:
             with_overrides(ex3, tend=1.2)
         with pytest.raises(DomainError):
             with_overrides(ex3, rmax=-5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("setting", ["rmax", "tend"])
+    def test_overrides_reject_non_finite_values(self, ex1, setting, bad):
+        with pytest.raises(DomainError, match=f"{setting} must be finite and positive"):
+            with_overrides(ex1, **{setting: bad})

@@ -208,6 +208,20 @@ class TestSolveCommand:
         assert main(argv + ["--out", str(out)]) == EXIT_NUMERICAL
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("method", ["fvm", "ahpm"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("setting", ["tend", "rmax"])
+    def test_non_finite_horizon_or_radius_maps_to_exit_2(
+        self, tmp_path, capsys, setting, value, method
+    ):
+        out = tmp_path / "x"
+        argv = ["solve", "--case", "ex1", "--method", method, "--cells", "20", f"--{setting}", value]
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {setting} must be finite and positive, got {value}"
+        ]
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize(
         "method, extra", [("fvm", []), ("ham", ["--alpha", "-0.8"]), ("ahpm", [])]
     )

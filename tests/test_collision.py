@@ -12,6 +12,7 @@ from cbelab import (
     CustomKernel,
     DiscreteFragmentsBreakage,
     DivergenceError,
+    DomainError,
     ExponentialIC,
     GridFunction,
     MassUniformBreakage,
@@ -45,7 +46,9 @@ def _cell_pair(grid, cell, other):
     """Whether ``(x, y)`` or ``(y, x)`` lies in the cell pair ``(cell, other)``."""
     lo, hi = grid.edges[cell : cell + 2].tolist()
     lo2, hi2 = grid.edges[other : other + 2].tolist()
-    return lambda x, y: (lo < x < hi and lo2 < y < hi2) or (lo < y < hi and lo2 < x < hi2)
+    return lambda x, y: (
+        (lo < x) & (x < hi) & (lo2 < y) & (y < hi2) | (lo < y) & (y < hi) & (lo2 < x) & (x < hi2)
+    )
 
 
 def _custom_kernel(kernel_id, grid):
@@ -56,13 +59,13 @@ def _custom_kernel(kernel_id, grid):
     fn = {
         "sum": lambda x, y: x + y,
         "brownian": lambda x, y: (x**third + y**third) * (x**-third + y**-third),
-        "free-molecular": lambda x, y: (x**third + y**third) ** 2 * math.sqrt(1 / x + 1 / y),
+        "free-molecular": lambda x, y: (x**third + y**third) ** 2 * np.sqrt(1 / x + 1 / y),
         "diff-sedimentation": lambda x, y: (
             (x**third + y**third) ** 2 * abs(x ** (2 * third) - y ** (2 * third))
         ),
-        "product-bump": lambda x, y: x * y + (1.0 if min(x, y) > edge else 0.0),
-        "step": lambda x, y: 1.0 + (1.0 if min(x, y) > half else 0.0),
-        "mid-bump": lambda x, y: x * y + (1.0 if inside(x, y) else 0.0),
+        "product-bump": lambda x, y: x * y + np.where(np.minimum(x, y) > edge, 1.0, 0.0),
+        "step": lambda x, y: 1.0 + np.where(np.minimum(x, y) > half, 1.0, 0.0),
+        "mid-bump": lambda x, y: x * y + np.where(inside(x, y), 1.0, 0.0),
     }[kernel_id]
     return CustomKernel(fn)
 
@@ -182,7 +185,7 @@ def test_custom_kernel_factors_reproduce_the_table(kernel_id, rank):
     # full-rank kernels take one cross per column; the rows repeat sizes as
     # the stacked series sites do
     grid = build_grid(10.0, 300)
-    kernel = CustomKernel(min) if kernel_id == "min" else _custom_kernel(kernel_id, grid)
+    kernel = CustomKernel(np.minimum) if kernel_id == "min" else _custom_kernel(kernel_id, grid)
     x, y = np.concatenate([0.5 * grid.midpoints, grid.midpoints]), grid.midpoints
     a, b = kernel_factors(kernel, x, y)
     table = kernel_matrix(kernel, x, y)
@@ -194,17 +197,50 @@ def test_custom_kernel_reads_each_rate_once():
     grid = build_grid(10.0, 60)
     x, y = np.concatenate([0.5 * grid.midpoints, grid.midpoints]), grid.midpoints
     calls = []
-    kernel_factors(CustomKernel(lambda p, q: calls.append((p, q)) or p + q), x, y)
+
+    def read(p, q):
+        calls.extend(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(p, q))))
+        return p + q
+
+    kernel_factors(CustomKernel(read), x, y)
     assert sorted(calls) == sorted((p, q) for p in x.tolist() for q in y.tolist())
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x, y: 2.0 if x + y > 1.0 else 1.0,
+        lambda x, y: math.sqrt(x * y),
+        lambda x, y: np.ravel(x * y),
+    ],
+    ids=["python-if", "math-sqrt", "wrong-shape"],
+)
+def test_per_value_custom_kernel_is_refused(fn):
+    # the rates are read a column or a row at a time, in one call each
+    case = replace(registry_case("ex1"), kernel=CustomKernel(fn))
+    grid = build_grid(case.rmax, 40)
+    x = grid.midpoints
+    with pytest.raises(DomainError, match="np.where.*np.vectorize"):
+        kernel_factors(case.kernel, x, x)
+    with pytest.raises(DomainError, match="np.where.*np.vectorize"):
+        integrate(case, grid, (0.0, case.tend))
+
+
+def test_vectorized_per_value_kernel_reads_the_same_table():
+    x = build_grid(10.0, 40).midpoints
+    per_value = CustomKernel(np.vectorize(lambda p, q: math.sqrt(p * q) if p < q else q))
+    array = CustomKernel(lambda p, q: np.where(p < q, np.sqrt(p * q), q))
+    assert np.array_equal(kernel_matrix(per_value, x, x), kernel_matrix(array, x, x))
+    assert np.array_equal(kernel_factors(per_value, x, x), kernel_factors(array, x, x))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(
     "where, rate",
     [
-        (lambda grid: lambda x, y: min(x, y) > grid.edges[grid.cells // 2], lambda x, y: 1.0),
+        (lambda grid: lambda x, y: np.minimum(x, y) > grid.edges[grid.cells // 2], lambda x, y: 1.0),
         (lambda grid: _cell_pair(grid, grid.cells // 3, grid.cells // 2), lambda x, y: 1.0),
-        (lambda grid: lambda x, y: min(x, y) > grid.edges[-2], lambda x, y: x * y),
+        (lambda grid: lambda x, y: np.minimum(x, y) > grid.edges[-2], lambda x, y: x * y),
     ],
     ids=["block", "cell-pair", "last-cell-pair"],
 )
@@ -214,7 +250,7 @@ def test_non_finite_rate_off_the_pivots_diverges(where, rate, bad):
     case = registry_case("ex1")
     grid = build_grid(case.rmax, 40)
     off = where(grid)
-    case = replace(case, kernel=CustomKernel(lambda x, y: bad if off(x, y) else rate(x, y)))
+    case = replace(case, kernel=CustomKernel(lambda x, y: np.where(off(x, y), bad, rate(x, y))))
     with pytest.raises(DivergenceError):
         integrate(case, grid, (0.0, case.tend))
     with pytest.raises(DivergenceError):

@@ -35,6 +35,11 @@ class TestBuildGrid:
         with pytest.raises(DomainError):
             build_grid(1.0, 1)
 
+    @pytest.mark.parametrize("rmax", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_non_finite_or_non_positive_radius(self, rmax):
+        with pytest.raises(DomainError, match="rmax must be finite and positive"):
+            build_grid(rmax, 10)
+
     def test_geometric_requires_interior_first_edge(self):
         with pytest.raises(DomainError):
             build_grid(1.0, 4, scheme="geometric", eps_min=2.0)
@@ -77,9 +82,14 @@ class TestProjection:
     def test_custom_projection_matches_closed_form(self):
         # Gauss-Legendre projection of exp(-x) against its antiderivative
         grid = build_grid(5.0, 20)
-        gl = project_initial(CustomIC(lambda x: math.exp(-x)), grid)
+        gl = project_initial(CustomIC(lambda x: np.exp(-x)), grid)
         exact = project_initial(ExponentialIC(), grid)
         assert gl.values == pytest.approx(exact.values, rel=1e-10)
+
+    def test_per_value_custom_function_is_refused(self):
+        # math.exp takes one number; the projection calls fn once on every node
+        with pytest.raises(DomainError, match="np.where.*np.vectorize"):
+            project_initial(CustomIC(lambda x: math.exp(-x)), build_grid(5.0, 20))
 
     @pytest.mark.parametrize("init", [ExponentialIC(), WeightedExponentialIC()])
     def test_projected_mass_matches_integral(self, init):
