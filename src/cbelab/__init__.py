@@ -36,13 +36,7 @@ from .errors import (
     StiffnessError,
     UnknownCaseError,
 )
-from .fvm import (
-    FragWeights,
-    FvmSolution,
-    fvm_rhs,
-    integrate,
-    precompute_weights,
-)
+from .fvm import FvmSolution, integrate, precompute_weights
 from .grid import (
     Grid,
     GridFunction,
@@ -67,14 +61,10 @@ from .metrics import (
 )
 from .series import (
     AlphaResult,
-    CollocationSpec,
     SeriesSolution,
     TimePoly,
     ahpm_terms,
     averaged_residual,
-    birth_apply,
-    death_apply,
-    default_collocation,
     ham_terms,
     optimize_alpha,
     oracle_table,

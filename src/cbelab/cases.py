@@ -107,7 +107,7 @@ def _rates(kernel: KernelSpec, x, y) -> np.ndarray:
 
 def kernel_eval(kernel: KernelSpec, x: float, y: float) -> float:
     """Collision rate between particle sizes ``x`` and ``y``."""
-    if x <= 0 or y <= 0:
+    if not (x > 0 and y > 0):
         raise DomainError(f"kernel arguments must be positive, got ({x}, {y})")
     return float(_rates(kernel, x, y))
 
@@ -202,7 +202,7 @@ BreakageSpec = MassUniformBreakage | DiscreteFragmentsBreakage
 
 def breakage_mass_residual(breakage: BreakageSpec, parent: float) -> float:
     """|mass of fragments - parent mass|, via the closed-form fragment integral."""
-    if parent <= 0:
+    if not parent > 0:
         raise DomainError(f"parent size must be positive, got {parent}")
     if isinstance(breakage, MassUniformBreakage):
         # integral of x * 2/parent over (0, parent) is parent exactly
@@ -213,7 +213,7 @@ def breakage_mass_residual(breakage: BreakageSpec, parent: float) -> float:
 
 def fragment_count(breakage: BreakageSpec, parent: float, other: float) -> float:
     """Expected number of fragments per breakage event (>= 2 and finite)."""
-    if parent <= 0 or other <= 0:
+    if not (parent > 0 and other > 0):
         raise DomainError("particle sizes must be positive")
     if isinstance(breakage, MassUniformBreakage):
         return 2.0
@@ -384,9 +384,9 @@ def exact_concentration(case: CaseSpec, t: float, x: np.ndarray | float):
     """Closed-form concentration, where the case has one."""
     if case.exact.concentration is None:
         raise NoExactReferenceError(f"case {case.id!r} has no exact concentration")
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"time must be non-negative, got {t}")
-    if np.any(np.asarray(x) <= 0):
+    if not np.all(np.asarray(x) > 0):
         raise DomainError("sizes must be positive")
     return case.exact.concentration(t, np.asarray(x, dtype=float))
 
@@ -398,7 +398,7 @@ def exact_moment(case: CaseSpec, order: int, t: float) -> float:
         raise NoExactReferenceError(
             f"case {case.id!r} has no exact moment of order {order}"
         )
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"time must be non-negative, got {t}")
     if case.tend_limit is not None and t >= case.tend_limit:
         raise DomainError(

@@ -41,8 +41,8 @@ from .errors import (
     NumericalError,
     UnknownCaseError,
 )
-from .collision import brute_force_rhs
-from .fvm import fvm_rhs, integrate, precompute_weights
+from .collision import CollisionOperator, brute_force_rhs
+from .fvm import integrate, precompute_weights
 from .grid import GridFunction, build_grid, l1_distance, l1_norm
 from .metrics import (
     abs_error_grid,
@@ -599,7 +599,7 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
     small = build_grid(5.0, 16)
     weights = precompute_weights(small, case1.breakage)
     f = GridFunction(small, rng.uniform(0.0, 1.0, small.cells))
-    fast = fvm_rhs(small, weights, case1.kernel, f).values
+    fast = CollisionOperator(weights, case1.kernel).rhs(f.values)
     slow = brute_force_rhs(small, case1.breakage, case1.kernel, f.values)
     checks.append(
         (

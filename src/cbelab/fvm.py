@@ -14,31 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import CaseSpec
-from .collision import CollisionOperator, FragWeights, birth_map
+from .collision import CollisionOperator, birth_map
 from .errors import DivergenceError, DomainError, StiffnessError
 from .grid import Grid, GridFunction, project_initial
 
-__all__ = [
-    "FragWeights",
-    "FvmSolution",
-    "precompute_weights",
-    "fvm_rhs",
-    "integrate",
-]
+__all__ = ["FvmSolution", "precompute_weights", "integrate"]
 
 
-def precompute_weights(grid: Grid, breakage) -> FragWeights:
-    """Cell-rule birth map for one breakage law on one grid; applying it costs O(N)."""
+def precompute_weights(grid: Grid, breakage):
+    """Cell-rule birth map (a ``collision.FragWeights``) for one breakage law on
+    one grid; applying it costs O(N)."""
     return birth_map(grid, breakage)
-
-
-def fvm_rhs(
-    grid: Grid, weights: FragWeights, kernel, f: GridFunction
-) -> GridFunction:
-    """Time derivative of the cell averages under collision-induced breakage."""
-    if f.grid is not grid or weights.grid is not grid:
-        raise DomainError("grid, weights and state must share the same grid")
-    return GridFunction(grid, CollisionOperator(weights, kernel).rhs(f.values))
 
 
 # adaptive Dormand–Prince 5(4) tolerances and the step size below which it gives up

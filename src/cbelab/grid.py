@@ -162,9 +162,9 @@ def interp_eval(g: GridFunction, x: np.ndarray | float):
 
 def weighted_norm(g: GridFunction, r: float = 1.0, s: float = 0.0) -> float:
     """Discrete weighted norm ``sum_i (mid_i**r + mid_i**(-2 s)) |g_i| width_i``."""
-    if r < 1:
+    if not r >= 1:
         raise DomainError(f"weight exponent r must be >= 1, got {r}")
-    if s < 0:
+    if not s >= 0:
         raise DomainError(f"weight exponent s must be >= 0, got {s}")
     mid = g.grid.midpoints
     weight = mid**r + mid ** (-2.0 * s)

@@ -43,11 +43,10 @@ class MomentTable:
     mass_drift_flagged: bool
 
 
-def moments_over_time(
-    times, profiles, mass_drift_tol: float = MASS_DRIFT_TOL
-) -> MomentTable:
+def moments_over_time(times, profiles) -> MomentTable:
     """Tabulate the midpoint-rule moments 0..2 and the minimum of the profile
-    at each of ``times``; all profiles share one grid."""
+    at each of ``times``; all profiles share one grid.  A mass drift above
+    ``MASS_DRIFT_TOL`` is flagged."""
     if not len(times) or len(times) != len(profiles):
         raise DomainError(f"need one profile per output time, got {len(profiles)} for {len(times)}")
     grid = profiles[0].grid
@@ -64,7 +63,7 @@ def moments_over_time(
         moments=moments,
         minimum=minimum,
         mass_drift=drift,
-        mass_drift_flagged=drift > mass_drift_tol,
+        mass_drift_flagged=drift > MASS_DRIFT_TOL,
     )
 
 
@@ -94,7 +93,7 @@ def number_error(approx: GridFunction, case: CaseSpec, t: float) -> float:
 
 def eoc(error_coarse: float, error_fine: float) -> float:
     """Experimental order of convergence between a grid and its doubling."""
-    if error_coarse <= 0 or error_fine <= 0:
+    if not (error_coarse > 0 and error_fine > 0):
         raise DomainError("convergence order needs strictly positive errors")
     return math.log(error_coarse / error_fine) / math.log(2.0)
 
@@ -116,7 +115,7 @@ def geometric_error_bound(contraction: float, m: int, f1_norm: float) -> float:
         raise DomainError(f"contraction factor must lie in (0, 1), got {contraction}")
     if m < 0:
         raise DomainError("order must be non-negative")
-    if f1_norm < 0:
+    if not f1_norm >= 0:
         raise DomainError("norm of the first correction must be non-negative")
     return contraction**m / (1.0 - contraction) * f1_norm
 
@@ -124,6 +123,6 @@ def geometric_error_bound(contraction: float, m: int, f1_norm: float) -> float:
 def ham_contraction(xi: float, alpha: float) -> float:
     """Effective contraction factor ``xi * |alpha| + |1 + alpha|`` of the
     control-parameter recursion."""
-    if xi < 0:
+    if not xi >= 0:
         raise DomainError("contraction input must be non-negative")
     return xi * abs(alpha) + abs(1.0 + alpha)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cases import CaseSpec, MassUniformBreakage, registry_case
+from .cases import CaseSpec, registry_case
 from .collision import CollisionOperator, birth_map, cauchy_product
 from .errors import (
     DomainError,
@@ -32,17 +32,13 @@ from .grid import Grid, GridFunction, project_initial
 __all__ = [
     "TimePoly",
     "SeriesSolution",
-    "CollocationSpec",
     "AlphaResult",
     "poly_mul",
     "poly_antiderivative",
-    "death_apply",
-    "birth_apply",
     "ham_terms",
     "ahpm_terms",
     "truncated_sum",
     "residual",
-    "default_collocation",
     "averaged_residual",
     "optimize_alpha",
     "oracle_terms",
@@ -145,22 +141,6 @@ def poly_antiderivative(p: TimePoly) -> TimePoly:
 @lru_cache(maxsize=8)
 def _collision_ops(grid: Grid, kernel, breakage) -> CollisionOperator:
     return CollisionOperator(birth_map(grid, breakage, interpolated=True), kernel)
-
-
-def death_apply(kernel, g: GridFunction, h: GridFunction) -> GridFunction:
-    """Loss integral ``g_i * sum_l K(mid_i, mid_l) h_l width_l``."""
-    if g.grid is not h.grid:
-        raise GridMismatchError("grid functions live on different grids")
-    ops = _collision_ops(g.grid, kernel, MassUniformBreakage())
-    return GridFunction(g.grid, ops.death(g.values, h.values))
-
-
-def birth_apply(kernel, breakage, g: GridFunction, h: GridFunction) -> GridFunction:
-    """Gain integral over parents carrying ``g`` against the partner field ``h``."""
-    if g.grid is not h.grid:
-        raise GridMismatchError("grid functions live on different grids")
-    ops = _collision_ops(g.grid, kernel, breakage)
-    return GridFunction(g.grid, ops.birth(g.values, h.values))
 
 
 # --------------------------------------------------------------------------
@@ -308,54 +288,28 @@ def residual(case: CaseSpec, terms: Sequence[TimePoly]) -> TimePoly:
 # control-parameter optimisation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CollocationSpec:
-    """Sample nodes for the averaged squared residual."""
-
-    times: tuple[float, ...]
-    sizes: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.times or not self.sizes:
-            raise DomainError("collocation needs at least one node per axis")
-        if min(self.times) <= 0 or min(self.sizes) <= 0:
-            raise DomainError("collocation nodes must be strictly positive")
-
-
-def default_collocation(case: CaseSpec, order: int) -> CollocationSpec:
-    """Uniform time nodes up to the horizon, log-spaced size nodes up to R."""
+def _collocation(case: CaseSpec, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample nodes of the averaged squared residual: ``order`` uniform times up
+    to the horizon and ``order`` log-spaced sizes from ``R / 1000`` up to ``R``."""
     if order < 1:
         raise DomainError("collocation order must be >= 1")
-    times = tuple((m * case.tend) / order for m in range(1, order + 1))
-    sizes = tuple(
-        np.logspace(math.log10(case.rmax * 1e-3), math.log10(case.rmax), order)
-    )
-    return CollocationSpec(times=times, sizes=sizes)
+    times = np.array([(m * case.tend) / order for m in range(1, order + 1)])
+    sizes = np.logspace(math.log10(case.rmax * 1e-3), math.log10(case.rmax), order)
+    return times, sizes
 
 
-def averaged_residual(
-    case: CaseSpec,
-    grid: Grid,
-    order: int,
-    alpha: float,
-    colloc: CollocationSpec | None = None,
-) -> float:
+def averaged_residual(case: CaseSpec, grid: Grid, order: int, alpha: float) -> float:
     """Mean squared residual of the order-``order`` series over the collocation nodes."""
-    colloc = colloc or default_collocation(case, order)
-    if max(colloc.times) > case.tend + 1e-12:
-        raise DomainError("collocation times exceed the case horizon")
-    if max(colloc.sizes) > case.rmax + 1e-12:
-        raise DomainError("collocation sizes exceed the truncation radius")
+    nodes = _collocation(case, order)
     defect = residual(case, ham_terms(case, grid, order, alpha).terms)
-    samples = _sample(defect.coeffs, grid, colloc)
+    samples = _sample(defect.coeffs, grid, nodes)
     return sum(float(np.sum(row**2)) for row in samples) / samples.size
 
 
-def _sample(coeffs: np.ndarray, grid: Grid, colloc: CollocationSpec) -> np.ndarray:
+def _sample(coeffs: np.ndarray, grid: Grid, nodes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Time polynomial at the collocation nodes: one row per time, one column per size."""
-    return np.array(
-        [np.interp(colloc.sizes, grid.midpoints, row) for row in _poly_eval(coeffs, colloc.times)]
-    )
+    times, sizes = nodes
+    return np.array([np.interp(sizes, grid.midpoints, row) for row in _poly_eval(coeffs, times)])
 
 
 def _ham_weights(order: int, alpha: np.ndarray) -> np.ndarray:
@@ -371,9 +325,7 @@ def _ham_weights(order: int, alpha: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _alpha_objective(
-    case: CaseSpec, grid: Grid, order: int, colloc: CollocationSpec
-) -> Callable[[np.ndarray], np.ndarray]:
+def _alpha_objective(case: CaseSpec, grid: Grid, order: int) -> Callable[[np.ndarray], np.ndarray]:
     """``averaged_residual`` as an explicit polynomial in alpha, for a 1-D array of alphas.
 
     With the partial sum ``sum_j w_j g_j`` (``w_0 = 1``, ``g_0 = f0``) and a
@@ -382,11 +334,12 @@ def _alpha_objective(
     ``g_j`` and ``B_ij`` samples ``int_0^t C(g_i, g_j)``: one alpha-free build
     and ``(order + 1)**2`` products fix every value.
     """
+    nodes = _collocation(case, order)
     ops = _collision_ops(grid, case.kernel, case.breakage)
     hpm = _ham_coeffs(ops, project_initial(case.init, grid).values, order, -1.0)
-    linear = np.array([_sample(g, grid, colloc).ravel() for g in hpm[1:]])
+    linear = np.array([_sample(g, grid, nodes).ravel() for g in hpm[1:]])
     quadratic = np.array(
-        [[_sample(_poly_antider(ops.collide(p, q)), grid, colloc).ravel() for q in hpm] for p in hpm]
+        [[_sample(_poly_antider(ops.collide(p, q)), grid, nodes).ravel() for q in hpm] for p in hpm]
     )
 
     def objective(alpha: np.ndarray) -> np.ndarray:
@@ -403,14 +356,8 @@ class AlphaResult:
     averaged_residual: float
 
 
-def optimize_alpha(
-    case: CaseSpec,
-    grid: Grid,
-    order: int,
-    lo: float = -1.0,
-    hi: float = -0.01,
-) -> AlphaResult:
-    """Global minimum of the averaged squared residual over ``[lo, hi]``.
+def optimize_alpha(case: CaseSpec, grid: Grid, order: int) -> AlphaResult:
+    """Global minimum of the averaged squared residual over ``[-1, -0.01]``.
 
     Every HAM partial sum is ``sum_j w_j(alpha) g_j`` over the alpha = -1
     (plain HPM) terms ``g_j``, with scalar weights of degree ``<= order`` in
@@ -423,18 +370,16 @@ def optimize_alpha(
     """
     if order < 1:
         raise DomainError("optimisation needs a series order >= 1")
-    if not (-1.0 <= lo < hi < 0.0):
-        raise DomainError(f"search interval [{lo}, {hi}] must sit inside [-1, 0)")
-    colloc = default_collocation(case, order)
+    lo, hi = -1.0, -0.01
 
     def objective(a: float) -> float:
-        value = averaged_residual(case, grid, order, a, colloc)
+        value = averaged_residual(case, grid, order, a)
         if not math.isfinite(value):
             raise NumericalError(f"averaged residual is not finite at alpha={a:.6f}")
         return value
 
     fit = np.polynomial.Chebyshev.interpolate(
-        _alpha_objective(case, grid, order, colloc), 4 * order, domain=(lo, hi)
+        _alpha_objective(case, grid, order), 4 * order, domain=(lo, hi)
     )
     _checked(fit.coef, "averaged residual polynomial")
     roots = fit.deriv().roots()

@@ -16,12 +16,18 @@ from cbelab import (
     ProductKernel,
     UnknownCaseError,
     breakage_mass_residual,
+    build_grid,
     case_ids,
+    eoc,
     exact_concentration,
     exact_moment,
     fragment_count,
+    geometric_error_bound,
+    ham_contraction,
     kernel_eval,
+    project_initial,
     registry_case,
+    weighted_norm,
     with_overrides,
 )
 from cbelab.cases import kernel_matrix
@@ -205,3 +211,26 @@ class TestRegistry:
     def test_overrides_reject_non_finite_values(self, ex1, setting, bad):
         with pytest.raises(DomainError, match=f"{setting} must be finite and positive"):
             with_overrides(ex1, **{setting: bad})
+
+
+# each positivity guard is written so that NaN fails it too
+NAN_CALLS = {
+    "kernel_eval": lambda ex1: kernel_eval(ProductKernel(1.0), math.nan, 1.0),
+    "exact_moment": lambda ex1: exact_moment(ex1, 0, math.nan),
+    "exact_concentration-time": lambda ex1: exact_concentration(ex1, math.nan, np.array([1.0])),
+    "exact_concentration-size": lambda ex1: exact_concentration(ex1, 0.5, np.array([math.nan])),
+    "breakage_mass_residual": lambda ex1: breakage_mass_residual(ex1.breakage, math.nan),
+    "fragment_count": lambda ex1: fragment_count(ex1.breakage, math.nan, 1.0),
+    "eoc": lambda ex1: eoc(math.nan, 1.0),
+    "geometric_error_bound": lambda ex1: geometric_error_bound(0.5, 2, math.nan),
+    "ham_contraction": lambda ex1: ham_contraction(math.nan, -0.5),
+    "weighted_norm": lambda ex1: weighted_norm(
+        project_initial(ex1.init, build_grid(ex1.rmax, 8)), math.nan, 0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NAN_CALLS.values(), ids=NAN_CALLS.keys())
+def test_nan_fails_the_positivity_guards(call, ex1):
+    with pytest.raises(DomainError):
+        call(ex1)

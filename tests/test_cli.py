@@ -130,6 +130,31 @@ class TestSolveCommand:
         code = main(["solve", "--case", "ex9", "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["--case", "ex1", "--method", "ahpm", "--order", "-1"], None,
+             "error: order must be non-negative"),
+            (["--case", "ex1", "--method", "fvm", "--cells", "1"], None,
+             "error: cells must be at least 2"),
+            ([], "case=ex1\nmethod=ham\nalpha=abc\n", "error: cannot parse alpha='abc' as a number"),
+            ([], "case=ex1\ncells\n", "run.cfg:2: expected key=value, got 'cells'"),
+            ([], "case=ex1\ncells=abc\n", "error: bad value for config key 'cells': 'abc'"),
+            (["--config", "missing.cfg"], None, "error: cannot read config file missing.cfg"),
+        ],
+        ids=["negative-order", "one-cell", "config-alpha", "config-no-equals", "config-cells",
+             "config-missing"],
+    )
+    def test_bad_settings_are_usage_errors(self, tmp_path, capsys, monkeypatch, args, config,
+                                           message):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            args = args + ["--config", "run.cfg"]
+        assert main(["solve", *args, "--out", "x"]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("method", ["fvm", "ham", "ahpm"])
     @pytest.mark.parametrize("times", ["0,0.5,5", "0.5,0.2", "-0.1,0.5"])
     def test_bad_times_are_usage_errors(self, tmp_path, capsys, method, times):
@@ -257,6 +282,16 @@ class TestEocCommand:
             ]
         )
         assert code == EXIT_USAGE
+
+    def test_single_cell_count_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "eoc", "--case", "ex1", "--method", "fvm",
+                "--cell-list", "30", "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "error: need at least two cell counts" in capsys.readouterr().err
 
     def test_malformed_cell_list_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -14,14 +14,10 @@ from cbelab import (
     DivergenceError,
     DomainError,
     ExponentialIC,
-    GridFunction,
     MassUniformBreakage,
     ProductKernel,
     ahpm_terms,
-    birth_apply,
     build_grid,
-    death_apply,
-    fvm_rhs,
     integrate,
     precompute_weights,
     project_initial,
@@ -84,12 +80,10 @@ def _grid(rmax, cells, scheme):
 def test_fvm_and_series_share_the_mass_uniform_operator(case_id, scheme):
     case = registry_case(case_id)
     grid = _grid(case.rmax, 200, scheme)
-    f = project_initial(case.init, grid)
-    fvm = fvm_rhs(grid, precompute_weights(grid, case.breakage), case.kernel, f).values
-    series = (
-        birth_apply(case.kernel, case.breakage, f, f).values
-        - death_apply(case.kernel, f, f).values
-    )
+    f = project_initial(case.init, grid).values
+    fvm = CollisionOperator(precompute_weights(grid, case.breakage), case.kernel).rhs(f)
+    op = CollisionOperator(birth_map(grid, case.breakage, interpolated=True), case.kernel)
+    series = op.birth(f, f) - op.death(f, f)
     assert np.max(np.abs(fvm - series)) <= 1e-13 * np.max(np.abs(fvm))
 
 
@@ -97,17 +91,18 @@ def test_fvm_and_series_share_the_mass_uniform_operator(case_id, scheme):
 def test_dense_custom_kernel_matches_rank_one_product_kernel(law, rng):
     grid = build_grid(10.0, 40)
     rank_one, dense = ProductKernel(1.0), CustomKernel(lambda x, y: x * y)
-    f = GridFunction(grid, rng.uniform(0.0, 1.0, grid.cells))
-    h = GridFunction(grid, rng.uniform(0.0, 1.0, grid.cells))
-    weights = precompute_weights(grid, law)
+    f = rng.uniform(0.0, 1.0, grid.cells)
+    h = rng.uniform(0.0, 1.0, grid.cells)
+    fvm = [CollisionOperator(precompute_weights(grid, law), k) for k in (rank_one, dense)]
+    series = [CollisionOperator(birth_map(grid, law, interpolated=True), k) for k in (rank_one, dense)]
     pairs = [
-        (fvm_rhs(grid, weights, rank_one, f), fvm_rhs(grid, weights, dense, f)),
-        (birth_apply(rank_one, law, f, h), birth_apply(dense, law, f, h)),
-        (death_apply(rank_one, f, h), death_apply(dense, f, h)),
+        (fvm[0].rhs(f), fvm[1].rhs(f)),
+        (series[0].birth(f, h), series[1].birth(f, h)),
+        (series[0].death(f, h), series[1].death(f, h)),
     ]
     for fast, slow in pairs:
-        scale = np.max(np.abs(fast.values))
-        assert np.max(np.abs(fast.values - slow.values)) <= 1e-13 * scale
+        scale = np.max(np.abs(fast))
+        assert np.max(np.abs(fast - slow)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("law", LAWS, ids=["mass-uniform", "fragments"])
@@ -137,9 +132,9 @@ def test_non_separable_custom_kernel_matches_brute_force(law, kernel_id, rng):
     grid = build_grid(6.0, 12)
     kernel = _custom_kernel(kernel_id, grid)
     weights = precompute_weights(grid, law)
-    f = GridFunction(grid, rng.uniform(0.0, 1.0, grid.cells))
-    fast = fvm_rhs(grid, weights, kernel, f).values
-    slow = brute_force_rhs(grid, law, kernel, f.values)
+    f = rng.uniform(0.0, 1.0, grid.cells)
+    fast = CollisionOperator(weights, kernel).rhs(f)
+    slow = brute_force_rhs(grid, law, kernel, f)
     assert fast == pytest.approx(slow, abs=1e-12)
 
 
@@ -150,7 +145,7 @@ def test_factored_custom_kernel_matches_dense_table(law, kernel_id, rng):
     # law the series sites stack the interpolated parents over the midpoints
     grid = build_grid(6.0, 200)
     kernel = _custom_kernel(kernel_id, grid)
-    f, h = (GridFunction(grid, rng.uniform(0.0, 1.0, grid.cells)) for _ in range(2))
+    f, h = (rng.uniform(0.0, 1.0, grid.cells) for _ in range(2))
     p, q = rng.uniform(0.0, 1.0, (2, 3, grid.cells))  # time coefficients, t^0 .. t^2
     mid = grid.midpoints
     fvm_weights, series = precompute_weights(grid, law), birth_map(grid, law, interpolated=True)
@@ -165,13 +160,14 @@ def test_factored_custom_kernel_matches_dense_table(law, kernel_id, rng):
         gain = weights(cauchy_product(weights.sample(p), rates(q, weights.sites)))
         return gain - cauchy_product(p, rates(q, mid))
 
-    cell_birth, cell_death = dense_rhs(fvm_weights, f.values, f.values)
-    birth, death = dense_rhs(series, f.values, h.values)
+    cell_birth, cell_death = dense_rhs(fvm_weights, f, f)
+    birth, death = dense_rhs(series, f, h)
+    series_op = CollisionOperator(series, kernel)
     pairs = [
-        (fvm_rhs(grid, fvm_weights, kernel, f).values, cell_birth - cell_death),
-        (birth_apply(kernel, law, f, h).values, birth),
-        (death_apply(kernel, f, h).values, death),
-        (CollisionOperator(series, kernel).collide(p, q), dense_collide(series, p, q)),
+        (CollisionOperator(fvm_weights, kernel).rhs(f), cell_birth - cell_death),
+        (series_op.birth(f, h), birth),
+        (series_op.death(f, h), death),
+        (series_op.collide(p, q), dense_collide(series, p, q)),
     ]
     for fast, ref in pairs:
         assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -12,11 +12,9 @@ from cbelab import (
     DivergenceError,
     DomainError,
     ExponentialIC,
-    GridFunction,
     MassUniformBreakage,
     StiffnessError,
     build_grid,
-    fvm_rhs,
     integrate,
     moments_over_time,
     precompute_weights,
@@ -95,16 +93,15 @@ class TestRhs:
     def test_zero_state(self, ex1):
         grid = build_grid(5.0, 12)
         weights = precompute_weights(grid, ex1.breakage)
-        zero = GridFunction(grid, np.zeros(12))
-        out = fvm_rhs(grid, weights, ex1.kernel, zero)
-        assert np.all(out.values == 0.0)
+        out = CollisionOperator(weights, ex1.kernel).rhs(np.zeros(12))
+        assert np.all(out == 0.0)
 
     def test_three_cell_hand_grid(self, ex1):
         grid = build_grid(3.0, 3)
         weights = precompute_weights(grid, ex1.breakage)
-        f = GridFunction(grid, np.array([0.7, 0.4, 0.1]))
-        fast = fvm_rhs(grid, weights, ex1.kernel, f).values
-        slow = brute_force_rhs(grid, ex1.breakage, ex1.kernel, f.values)
+        f = np.array([0.7, 0.4, 0.1])
+        fast = CollisionOperator(weights, ex1.kernel).rhs(f)
+        slow = brute_force_rhs(grid, ex1.breakage, ex1.kernel, f)
         assert fast == pytest.approx(slow, abs=1e-12)
 
     @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
@@ -113,9 +110,9 @@ class TestRhs:
         case = registry_case(case_id)
         grid = build_grid(case.rmax, cells)
         weights = precompute_weights(grid, case.breakage)
-        f = GridFunction(grid, rng.uniform(0.0, 1.0, cells))
-        fast = fvm_rhs(grid, weights, case.kernel, f).values
-        slow = brute_force_rhs(grid, case.breakage, case.kernel, f.values)
+        f = rng.uniform(0.0, 1.0, cells)
+        fast = CollisionOperator(weights, case.kernel).rhs(f)
+        slow = brute_force_rhs(grid, case.breakage, case.kernel, f)
         assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_total_loss_rate_is_quadratic_form(self, ex1):
@@ -135,6 +132,15 @@ class TestIntegrate:
         solution = integrate(ex1, grid, (0.0, 0.5))
         projected = project_initial(ex1.init, grid)
         assert np.array_equal(solution.snapshots[0].values, projected.values)
+
+    def test_single_output_time_takes_no_step(self, ex1):
+        grid = build_grid(ex1.rmax, 50)
+        solution = integrate(ex1, grid, (0.0,))
+        projected = project_initial(ex1.init, grid)
+        assert len(solution.snapshots) == 1
+        assert np.array_equal(solution.snapshots[0].values, projected.values)
+        assert solution.step_count == 0
+        assert solution.rhs_evaluations == 0
 
     def test_rk4_matches_rk45(self, ex1):
         grid = build_grid(ex1.rmax, 60)

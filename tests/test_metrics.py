@@ -29,6 +29,7 @@ from cbelab import (
     reference_moment,
     truncated_sum,
 )
+from cbelab.metrics import MASS_DRIFT_TOL
 
 
 def series_profiles(series, times):
@@ -74,14 +75,16 @@ class TestMoments:
         assert not table.mass_drift_flagged
 
     def test_drift_flag_reacts_to_tolerance(self, ex3):
-        grid = build_grid(ex3.rmax, 150)
+        # ex3 AHPM on 150 cells stays inside MASS_DRIFT_TOL; the cell-rule FVM
+        # on 50 uniform cells drifts 9.2 % by the horizon
         times = (0.0, 0.25, 0.5)
-        profiles = series_profiles(ahpm_terms(ex3, grid, 3), times)
-        relaxed = moments_over_time(times, profiles)
-        strict = moments_over_time(times, profiles, mass_drift_tol=1e-6)
-        assert not relaxed.mass_drift_flagged
-        assert strict.mass_drift_flagged
-        assert relaxed.mass_drift == strict.mass_drift
+        profiles = series_profiles(ahpm_terms(ex3, build_grid(ex3.rmax, 150), 3), times)
+        within = moments_over_time(times, profiles)
+        fvm = integrate(ex3, build_grid(ex3.rmax, 50), times)
+        beyond = moments_over_time(fvm.times, fvm.snapshots)
+        assert within.mass_drift < MASS_DRIFT_TOL < beyond.mass_drift
+        assert not within.mass_drift_flagged
+        assert beyond.mass_drift_flagged
 
     def test_minimum_reads_the_series_undershoot(self, ex1):
         # AHPM order 7 dips below zero near the right end of the domain by t = 0.5
@@ -258,6 +261,11 @@ class TestConsecutiveTermNorms:
             method="ahpm", case=ex1, grid=grid, terms=(zero, zero)
         )
         assert consecutive_term_norm(series, 1) == 0.0
+
+    def test_order_above_the_series_is_refused(self, ex1):
+        series = ahpm_terms(ex1, build_grid(ex1.rmax, 20), 2)
+        with pytest.raises(DomainError, match="order 3 exceeds the series order 2"):
+            consecutive_term_norm(series, 3)
 
 
 class TestGeometricBound:

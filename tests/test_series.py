@@ -17,10 +17,7 @@ from cbelab import (
     UnknownCaseError,
     ahpm_terms,
     averaged_residual,
-    birth_apply,
     build_grid,
-    death_apply,
-    default_collocation,
     ham_terms,
     l1_distance,
     l1_norm,
@@ -35,6 +32,7 @@ from cbelab import (
     taylor_term,
     truncated_sum,
 )
+from cbelab.collision import CollisionOperator, birth_map
 
 # oracle comparisons run on a wide domain so truncation error stays below the
 # quadrature error of the midpoint rule
@@ -81,6 +79,17 @@ class TestTimePoly:
         assert p.coefficient(2).values == pytest.approx(coeffs[2])
         with pytest.raises(DomainError):
             p.coefficient(3)
+
+    def test_rows_must_match_the_grid(self):
+        with pytest.raises(DomainError, match="coefficient rows must have 4 entries"):
+            TimePoly(build_grid(1.0, 4), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_coefficients_must_be_finite(self, bad):
+        coeffs = np.zeros((2, 4))
+        coeffs[1, 2] = bad
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            TimePoly(build_grid(1.0, 4), coeffs)
 
 
 class TestPolyOps:
@@ -137,58 +146,52 @@ class TestPolyOps:
             assert derivative == pytest.approx(p.eval(t).values, rel=1e-7, abs=1e-7)
 
 
+def series_operator(case, grid):
+    """The interpolated collision operator the series methods apply."""
+    return CollisionOperator(birth_map(grid, case.breakage, interpolated=True), case.kernel)
+
+
 class TestCollisionOperators:
     def test_death_of_zero_partner(self, ex1):
         grid = build_grid(ex1.rmax, 32)
-        f0 = project_initial(ex1.init, grid)
-        zero = TimePoly(grid, np.zeros((1, 32))).eval(0.0)
-        assert np.all(death_apply(ex1.kernel, f0, zero).values == 0.0)
+        f0 = project_initial(ex1.init, grid).values
+        assert np.all(series_operator(ex1, grid).death(f0, np.zeros(32)) == 0.0)
 
     def test_death_product_kernel_closed_form(self, ex1):
         grid = build_grid(20.0, 2000)
-        f0 = project_initial(ex1.init, grid)
-        out = death_apply(ex1.kernel, f0, f0)
+        f0 = project_initial(ex1.init, grid).values
+        out = GridFunction(grid, series_operator(ex1, grid).death(f0, f0))
         mass = 1.0 - 21.0 * math.exp(-20.0)
         expected = grid.midpoints * np.exp(-grid.midpoints) * mass
-        assert rel_l1(out, type(out)(grid, expected)) < 1e-3
+        assert rel_l1(out, GridFunction(grid, expected)) < 1e-3
 
     def test_death_constant_kernel_closed_form(self, ex3):
         grid = build_grid(20.0, 2000)
-        f0 = project_initial(ex3.init, grid)
-        out = death_apply(ex3.kernel, f0, f0)
+        f0 = project_initial(ex3.init, grid).values
+        out = GridFunction(grid, series_operator(ex3, grid).death(f0, f0))
         number = 1.0 - math.exp(-20.0)
         expected = np.exp(-grid.midpoints) * number
-        assert rel_l1(out, type(out)(grid, expected)) < 1e-3
+        assert rel_l1(out, GridFunction(grid, expected)) < 1e-3
 
     def test_birth_of_zero_parents(self, ex1):
         grid = build_grid(ex1.rmax, 32)
-        f0 = project_initial(ex1.init, grid)
-        zero = death_apply(ex1.kernel, f0, f0)
-        zero = type(zero)(grid, np.zeros(32))
-        assert np.all(birth_apply(ex1.kernel, ex1.breakage, zero, f0).values == 0.0)
+        f0 = project_initial(ex1.init, grid).values
+        assert np.all(series_operator(ex1, grid).birth(np.zeros(32), f0) == 0.0)
 
     def test_birth_mass_uniform_closed_form(self, ex1):
         grid = build_grid(20.0, 2000)
-        f0 = project_initial(ex1.init, grid)
-        out = birth_apply(ex1.kernel, ex1.breakage, f0, f0)
+        f0 = project_initial(ex1.init, grid).values
+        out = GridFunction(grid, series_operator(ex1, grid).birth(f0, f0))
         expected = 2.0 * np.exp(-grid.midpoints)
-        assert rel_l1(out, type(out)(grid, expected)) < 1e-3
+        assert rel_l1(out, GridFunction(grid, expected)) < 1e-3
 
     def test_birth_discrete_fragments_closed_form(self, ex3):
         grid = build_grid(20.0, 2000)
-        f0 = project_initial(ex3.init, grid)
-        out = birth_apply(ex3.kernel, ex3.breakage, f0, f0)
+        f0 = project_initial(ex3.init, grid).values
+        out = GridFunction(grid, series_operator(ex3, grid).birth(f0, f0))
         x = grid.midpoints
         expected = 2.5 * np.exp(-2.5 * x) + (5.0 / 3.0) * np.exp(-(5.0 / 3.0) * x)
-        assert rel_l1(out, type(out)(grid, expected)) < 1e-3
-
-    def test_grid_mismatch_rejected(self, ex1):
-        a = project_initial(ex1.init, build_grid(10.0, 16))
-        b = project_initial(ex1.init, build_grid(10.0, 16))
-        with pytest.raises(GridMismatchError):
-            death_apply(ex1.kernel, a, b)
-        with pytest.raises(GridMismatchError):
-            birth_apply(ex1.kernel, ex1.breakage, a, b)
+        assert rel_l1(out, GridFunction(grid, expected)) < 1e-3
 
 
 class TestHamSeries:
@@ -442,29 +445,16 @@ class TestAveragedResidual:
         assert averaged_residual(ex1, grid, 2, -0.7) >= 0.0
 
     def test_vanishes_for_tiny_times(self, ex1):
-        from cbelab import CollocationSpec
-
         grid = build_grid(ex1.rmax, 100)
-        colloc = CollocationSpec(times=(1e-9, 2e-9), sizes=(0.5, 1.0, 2.0))
-        assert averaged_residual(ex1, grid, 0, -0.8, colloc) < 1e-15
+        defect = residual(ex1, ham_terms(ex1, grid, 0, -0.8).terms)
+        for t in (1e-9, 2e-9):
+            assert np.mean(defect.eval(t).values ** 2) < 1e-15
 
     def test_published_optimum_beats_endpoints(self, ex1):
         grid = build_grid(ex1.rmax, 200)
         a_star = averaged_residual(ex1, grid, 5, -0.826)
         assert a_star <= averaged_residual(ex1, grid, 5, -1.0)
         assert a_star <= averaged_residual(ex1, grid, 5, -0.5)
-
-    def test_collocation_validation(self, ex1):
-        from cbelab import CollocationSpec
-
-        with pytest.raises(DomainError):
-            CollocationSpec(times=(), sizes=(1.0,))
-        with pytest.raises(DomainError):
-            CollocationSpec(times=(0.0,), sizes=(1.0,))
-        grid = build_grid(ex1.rmax, 50)
-        bad = CollocationSpec(times=(2.0,), sizes=(1.0,))
-        with pytest.raises(DomainError):
-            averaged_residual(ex1, grid, 1, -0.5, bad)
 
 
 class TestOptimizeAlpha:
@@ -527,7 +517,7 @@ class TestOptimizeAlpha:
 
         case, grid = case_grid(case_id, scheme, 200)
         alphas = (-1.0, -0.9, -0.81, -0.5, -0.1, -0.01)
-        cheap = _alpha_objective(case, grid, 5, default_collocation(case, 5))(np.array(alphas))
+        cheap = _alpha_objective(case, grid, 5)(np.array(alphas))
         true = np.array([averaged_residual(case, grid, 5, a) for a in alphas])
         assert np.all(np.abs(cheap - true) <= 1e-8 * true + 1e-20)
 
@@ -540,18 +530,19 @@ class TestOptimizeAlpha:
         assert result.averaged_residual == averaged_residual(ex1, grid, 3, result.alpha)
 
     def test_interval_validation(self, ex1):
-        grid = build_grid(ex1.rmax, 40)
         with pytest.raises(DomainError):
-            optimize_alpha(ex1, grid, 5, lo=-0.5, hi=-0.9)
-        with pytest.raises(DomainError):
-            optimize_alpha(ex1, grid, 0)
+            optimize_alpha(ex1, build_grid(ex1.rmax, 40), 0)
 
     def test_collocation_defaults(self, ex1):
-        colloc = default_collocation(ex1, 5)
-        assert len(colloc.times) == 5 and len(colloc.sizes) == 5
-        assert colloc.times[-1] == ex1.tend
-        assert colloc.sizes[-1] == pytest.approx(ex1.rmax)
-        assert colloc.sizes[0] == pytest.approx(ex1.rmax * 1e-3)
+        from cbelab.series import _collocation
+
+        times, sizes = _collocation(ex1, 5)
+        assert len(times) == 5 and len(sizes) == 5
+        assert times[-1] == ex1.tend
+        assert sizes[-1] == pytest.approx(ex1.rmax)
+        assert sizes[0] == pytest.approx(ex1.rmax * 1e-3)
+        with pytest.raises(DomainError):
+            _collocation(ex1, 0)
 
 
 class TestOracleTable:
@@ -602,6 +593,16 @@ class TestSeriesSolution:
         term = taylor_term("ex1", 0, grid)
         with pytest.raises(DomainError):
             SeriesSolution(method="ham", case=ex1, grid=grid, terms=(term,))
+
+    def test_unknown_method_refused(self, ex1):
+        grid = build_grid(ex1.rmax, 16)
+        term = taylor_term("ex1", 0, grid)
+        with pytest.raises(DomainError, match="unknown series method 'hpm'"):
+            SeriesSolution(method="hpm", case=ex1, grid=grid, terms=(term,))
+
+    def test_needs_the_zeroth_term(self, ex1):
+        with pytest.raises(DomainError, match="at least the zeroth term"):
+            SeriesSolution(method="ahpm", case=ex1, grid=build_grid(ex1.rmax, 16), terms=())
 
     def test_taylor_term_only_for_ex1(self):
         grid = build_grid(10.0, 16)

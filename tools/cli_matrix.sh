@@ -37,6 +37,9 @@ for case in ex1 ex2 ex3; do
 done
 run solve-ex1-fvm-4000 solve --case ex1 --method fvm --cells 4000
 run solve-ex1-ham-fixed solve --case ex1 --method ham --alpha -0.8 --times 0,0.25,0.5,1 --cells 120
+# a single output time: the projection alone, no step taken
+run solve-ex1-fvm-t0 solve --case ex1 --method fvm --times 0
+run solve-ex1-ahpm-t0 solve --case ex1 --method ahpm --times 0
 run eoc-ex1-fvm eoc --case ex1 --method fvm
 run eoc-ex1-ahpm eoc --case ex1 --method ahpm
 run optimize-alpha-ex2 optimize-alpha --case ex2 --order 5 --cells 200
