@@ -30,7 +30,7 @@ class NumericalError(CbelabError, RuntimeError):
 
 
 class StiffnessError(NumericalError):
-    """Adaptive stepper drove the step size below the underflow threshold."""
+    """Adaptive stepper drove the step size below the spacing of t."""
 
 
 class DivergenceError(NumericalError):

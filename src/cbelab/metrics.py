@@ -113,7 +113,7 @@ def geometric_error_bound(contraction: float, m: int, f1_norm: float) -> float:
     """Geometric tail bound ``contraction**m / (1 - contraction) * f1_norm``."""
     if not 0.0 < contraction < 1.0:
         raise DomainError(f"contraction factor must lie in (0, 1), got {contraction}")
-    if m < 0:
+    if not m >= 0:
         raise DomainError("order must be non-negative")
     if not f1_norm >= 0:
         raise DomainError("norm of the first correction must be non-negative")
@@ -125,4 +125,6 @@ def ham_contraction(xi: float, alpha: float) -> float:
     control-parameter recursion."""
     if not xi >= 0:
         raise DomainError("contraction input must be non-negative")
+    if not -1.0 <= alpha < 0.0:
+        raise DomainError(f"control parameter must lie in [-1, 0), got {alpha}")
     return xi * abs(alpha) + abs(1.0 + alpha)

@@ -223,7 +223,9 @@ NAN_CALLS = {
     "fragment_count": lambda ex1: fragment_count(ex1.breakage, math.nan, 1.0),
     "eoc": lambda ex1: eoc(math.nan, 1.0),
     "geometric_error_bound": lambda ex1: geometric_error_bound(0.5, 2, math.nan),
+    "geometric_error_bound-order": lambda ex1: geometric_error_bound(0.5, math.nan, 1.0),
     "ham_contraction": lambda ex1: ham_contraction(math.nan, -0.5),
+    "ham_contraction-alpha": lambda ex1: ham_contraction(0.5, math.nan),
     "weighted_norm": lambda ex1: weighted_norm(
         project_initial(ex1.init, build_grid(ex1.rmax, 8)), math.nan, 0.0
     ),

@@ -90,6 +90,13 @@ class TestSolveCommand:
         # Dormand–Prince 5(4) evaluates the right-hand side several times per accepted step
         assert run_info["rhs_evaluations"] > run_info["fvm_steps"]
 
+    def test_fvm_solve_on_a_short_horizon(self, tmp_path):
+        # a horizon of 1e-13 is one step of about 1e-13, far above ten ulps of t
+        out = tmp_path / "run"
+        argv = ["solve", "--case", "ex1", "--method", "fvm", "--cells", "50", "--tend", "1e-13"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert (out / "moments.csv").is_file()
+
     def test_series_solve_records_alpha(self, tmp_path):
         out = tmp_path / "run"
         code = main(

@@ -40,6 +40,8 @@ run solve-ex1-ham-fixed solve --case ex1 --method ham --alpha -0.8 --times 0,0.2
 # a single output time: the projection alone, no step taken
 run solve-ex1-fvm-t0 solve --case ex1 --method fvm --times 0
 run solve-ex1-ahpm-t0 solve --case ex1 --method ahpm --times 0
+# a horizon of 1e-13: one step, still far above ten ulps of t
+run solve-ex1-fvm-tend1e-13 solve --case ex1 --method fvm --cells 50 --tend 1e-13
 run eoc-ex1-fvm eoc --case ex1 --method fvm
 run eoc-ex1-ahpm eoc --case ex1 --method ahpm
 run optimize-alpha-ex2 optimize-alpha --case ex2 --order 5 --cells 200
