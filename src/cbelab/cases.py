@@ -7,6 +7,7 @@ Everything here is immutable after construction and safe to share across threads
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -289,6 +290,12 @@ class CaseSpec:
             raise DomainError(
                 f"case {self.id!r} requires tend < {self.tend_limit}, got {self.tend}"
             )
+
+    def within_horizon(self, t: float) -> bool:
+        """``t <= tend`` up to four ulps of ``tend``, the rounding of a time
+        computed from the horizon; a slack fixed in absolute terms would let
+        through times far past a short horizon."""
+        return t <= self.tend + 4 * math.ulp(self.tend)
 
 
 def _ex1_concentration(t: float, x: np.ndarray) -> np.ndarray:

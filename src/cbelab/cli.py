@@ -12,10 +12,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +149,7 @@ class RunConfig:
             raise UsageError(str(exc)) from exc
         # the same bounds ``integrate`` enforces, for every method
         if self.times is not None and not (
-            all(0.0 <= t <= case.tend + 1e-12 for t in self.times)
+            all(0.0 <= t and case.within_horizon(t) for t in self.times)
             and all(a < b for a, b in zip(self.times, self.times[1:]))
         ):
             raise UsageError(
@@ -255,29 +256,71 @@ def _text(value) -> str:
     return str(value)
 
 
-def _column(values) -> tuple[str, list]:
-    """A column's ``%`` spec and entries with ``_text``'s spelling; a float64 array is
-    checked at once and skips ``_text``, a float32 one does not (it writes ``str``)."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise DivergenceError(f"non-finite value {values[~finite][0]} in CSV output")
-        return "%.12g", values.tolist()
-    return "%s", [_text(value) for value in values]
+def _is_float64(values) -> bool:
+    return isinstance(values, np.ndarray) and values.dtype == np.float64
+
+
+def _float_entries(values: np.ndarray) -> list[float]:
+    """A float64 array's entries, checked for finiteness at once; a CSV file
+    formats each float64 column from this list once."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DivergenceError(f"non-finite value {values[~finite][0]} in CSV output")
+    return values.tolist()
+
+
+def _column(values, repeated: dict[bytes, list[str] | None]) -> tuple[str, list]:
+    """A column's ``%`` spec and entries with ``_text``'s spelling.
+
+    A float64 array is checked at once and skips ``_text``; a float32 one does
+    not (it writes ``str``).  A float64 column whose bytes are a key of
+    ``repeated`` is formatted on first use, kept there and reused as text.
+    """
+    if not _is_float64(values):
+        return "%s", [_text(value) for value in values]
+    key = values.tobytes()
+    if key not in repeated:
+        return "%.12g", _float_entries(values)
+    if repeated[key] is None:
+        repeated[key] = [f"{value:.12g}" for value in _float_entries(values)]
+    return "%s", repeated[key]
 
 
 def _write_csv(path: Path, config_hash: str, header: list[str], blocks) -> None:
     """Write ``(lead, columns)`` blocks: one row per index of the equal-length
     ``columns``, each row starting with the block's ``lead`` values; one ``%``
-    operation formats a whole block."""
-    texts = [f"# config {config_hash}\n", ",".join(header) + "\n"]
-    for lead, columns in blocks:
-        prefix = "".join(_text(value) + "," for value in lead).replace("%", "%%")
-        specs, entries = zip(*map(_column, columns))
-        flat = tuple(chain.from_iterable(zip(*entries, strict=True)))
-        texts.append((prefix + ",".join(specs) + "\n") * (len(flat) // len(specs)) % flat)
+    operation formats a whole block.
+
+    A float64 column that occurs more than once in the file (the size grid
+    beside each snapshot) is formatted once.  Columns are matched by bytes,
+    not by value: ``-0.0 == 0.0`` but the two are written differently.  Each
+    block goes to ``<name>.partial`` as soon as it is formatted, and that file
+    replaces ``path`` after the last block; on any error it is removed, and
+    ``path`` is left as it was.
+    """
+    blocks = [(lead, tuple(columns)) for lead, columns in blocks]
+    counts = Counter(
+        values.tobytes() for _, columns in blocks for values in columns if _is_float64(values)
+    )
+    repeated = {key: None for key, count in counts.items() if count > 1}
+    partial = path.with_name(path.name + ".partial")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(texts))
+    try:
+        with open(partial, "w") as out:
+            out.write(f"# config {config_hash}\n{','.join(header)}\n")
+            for lead, columns in blocks:
+                prefix = "".join(_text(value) + "," for value in lead).replace("%", "%%")
+                specs, entries = zip(*(_column(values, repeated) for values in columns))
+                # row-major entries; an extended slice refuses a column of another length
+                rows, width = len(entries[0]), len(entries)
+                flat = [None] * (rows * width)
+                for i, column in enumerate(entries):
+                    flat[i::width] = column
+                out.write((prefix + ",".join(specs) + "\n") * rows % tuple(flat))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _write_run_json(path: Path, payload: dict) -> None:

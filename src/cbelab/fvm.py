@@ -176,7 +176,7 @@ def integrate(case: CaseSpec, grid: Grid, times) -> FvmSolution:
         raise DomainError("output times must start at 0")
     if np.any(np.diff(out_times) <= 0):
         raise DomainError("output times must be strictly ascending")
-    if out_times[-1] > case.tend + 1e-12:
+    if not case.within_horizon(out_times[-1]):
         raise DomainError(
             f"last output time {out_times[-1]} exceeds the case horizon {case.tend}"
         )

@@ -17,6 +17,7 @@ from cbelab.cli import (
     _build_parser,
     _config_from_args,
     _flag,
+    _text,
     _write_csv,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -181,6 +182,28 @@ class TestSolveCommand:
         assert build_config({}, {"case": "ex1", "tend": 2.0, "times": (0.0, 1.5)})
         with pytest.raises(UsageError, match="horizon"):
             build_config({}, {"case": "ex1", "tend": 0.5, "times": (0.0, 0.75)})
+
+    @pytest.mark.parametrize("method", ["fvm", "ahpm"])
+    def test_times_past_a_short_horizon_are_usage_errors(self, tmp_path, capsys, method):
+        # ten times the horizon; an absolute slack of 1e-12 once let it through
+        argv = [
+            "solve", "--case", "ex1", "--method", method, "--cells", "50",
+            "--tend", "1e-13", "--times", "0,1e-12", "--out", str(tmp_path / "x"),
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert "horizon" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("tend", ["1e-13", "0.3", "2.7"])
+    @pytest.mark.parametrize("method", ["fvm", "ahpm"])
+    def test_times_at_the_horizon_are_accepted(self, tmp_path, method, tend):
+        # the last time parsed from the same text as the horizon, and the default times
+        argv = ["solve", "--case", "ex1", "--method", method, "--cells", "20", "--tend", tend]
+        assert main(argv + ["--times", f"0,{tend}", "--out", str(tmp_path / "given")]) == EXIT_OK
+        assert main(argv + ["--out", str(tmp_path / "default")]) == EXIT_OK
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"case=ex1\nmethod={method}\ncells=20\ntend={tend}\ntimes=0,{tend}\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "file")]) == EXIT_OK
 
     def test_rerun_differs_only_in_wall_time(self, tmp_path):
         args = [
@@ -506,6 +529,38 @@ class TestValidateCommand:
         assert "validation failed: oracle-equivalence" in out.err
 
 
+_ENTRIES = st.one_of(
+    st.none(),
+    st.integers(-10**6, 10**6),
+    st.text(alphabet="ab%s.", max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def csv_blocks(draw):
+    """Blocks whose float64 columns are separate arrays over a few shared value
+    lists, so that columns repeat in bytes, or in value with the sign of zero
+    flipped, beside float32 arrays, float lists and mixed entry lists."""
+    floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(width=32, allow_nan=False,
+                                                                      allow_infinity=False))
+    pool = draw(st.lists(st.lists(floats, min_size=4, max_size=4), min_size=1, max_size=3))
+    pool.append([-v if v == 0.0 else v for v in pool[0]])
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows = draw(st.integers(0, 4))
+        columns = []
+        for _ in range(draw(st.integers(1, 3))):
+            values = draw(st.sampled_from(pool))[:rows]
+            kind = draw(st.sampled_from(["float64", "float32", "list", "entries"]))
+            if kind == "entries":
+                columns.append(draw(st.lists(_ENTRIES, min_size=rows, max_size=rows)))
+            else:
+                columns.append(np.array(values, dtype=kind) if kind != "list" else list(values))
+        blocks.append((tuple(draw(st.lists(_ENTRIES, max_size=3))), tuple(columns)))
+    return blocks
+
+
 class TestCsvEmission:
     @pytest.mark.parametrize(
         "block",
@@ -521,9 +576,49 @@ class TestCsvEmission:
     )
     def test_non_finite_values_abort(self, tmp_path, block):
         path = tmp_path / "bad.csv"
+        header = ["case", "time", "size", "value"]
         with pytest.raises(DivergenceError):
-            _write_csv(path, "deadbeef", ["case", "time", "size", "value"], [block])
-        assert not path.exists()
+            _write_csv(path, "deadbeef", header, [block])
+        assert list(tmp_path.iterdir()) == []
+        # a file already at the path is neither replaced nor truncated
+        path.write_text("earlier run\n")
+        with pytest.raises(DivergenceError):
+            _write_csv(path, "deadbeef", header, [block])
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "earlier run\n"
+
+    def test_failure_after_a_written_block_keeps_the_earlier_file(self, tmp_path):
+        # the first block is already in the partial file when the second fails
+        path = tmp_path / "bad.csv"
+        path.write_text("earlier run\n")
+        good = (("ex1", 0.0), (np.array([1.0, 2.0]), np.array([3.0, 4.0])))
+        bad = (("ex1", 0.5), (np.array([1.0, 2.0]), np.array([3.0, np.nan])))
+        with pytest.raises(DivergenceError):
+            _write_csv(path, "deadbeef", ["case", "time", "size", "value"], [good, bad])
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "earlier run\n"
+
+    @pytest.mark.parametrize("columns", [([1.0, 2.0], [3.0]), ([1.0], [2.0, 3.0]), ([], [1.0])],
+                             ids=["longer-first", "shorter-first", "empty-first"])
+    def test_columns_of_unequal_length_are_refused(self, tmp_path, columns):
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError):
+            _write_csv(path, "deadbeef", ["case", "size", "value"], [(("ex1",), columns)])
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks=csv_blocks())
+    @example(blocks=[(("a%b",), (np.array([0.0, -0.0]),)), ((), (np.array([-0.0, 0.0]), ["%s", 7]))])
+    @example(blocks=[(("ex1", 1.0), (np.array([]), [])), (("ex1", 2.0), (np.array([]), []))])
+    def test_matches_row_by_row_reference(self, tmp_path_factory, blocks):
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        _write_csv(path, "deadbeef", ["h1", "h2"], blocks)
+        lines = ["# config deadbeef", "h1,h2"] + [
+            ",".join(map(_text, tuple(lead) + row))
+            for lead, columns in blocks
+            for row in zip(*columns)
+        ]
+        assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
@@ -560,11 +655,23 @@ class TestCsvEmission:
             calls += 1
             return text(value)
 
+        formatted = []
+        entries = cli_module._float_entries
+
+        def recorded(values):
+            formatted.append(values.tobytes())
+            return entries(values)
+
         monkeypatch.setattr(cli_module, "_text", counted)
+        monkeypatch.setattr(cli_module, "_float_entries", recorded)
         argv = ["solve", "--case", "ex1", "--method", "fvm", "--cells", "4000", "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
         # float64 columns skip ``_text``; leads and the short moment columns use it
         assert calls < 1000
+        # the size column of all 11 snapshots once, each profile and moment column once
+        sizes = cbelab.build_grid(cbelab.registry_case("ex1").rmax, 4000).midpoints.tobytes()
+        assert formatted.count(sizes) == 1
+        assert len(formatted) == 1 + 11 + 3
 
     def test_text_format(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -160,6 +160,18 @@ class TestIntegrate:
         assert len(solution.snapshots) == 2
         assert solution.step_count >= 1
 
+    def test_time_past_a_short_horizon_raises(self, ex1):
+        # ten times the horizon; an absolute slack of 1e-12 once let it through
+        case = replace(ex1, tend=1e-13)
+        with pytest.raises(DomainError, match="horizon"):
+            integrate(case, build_grid(case.rmax, 50), (0.0, 1e-12))
+
+    @pytest.mark.parametrize("tend", [1e-13, 0.3, 2.7])
+    def test_default_times_reach_the_horizon(self, ex1, tend):
+        case = replace(ex1, tend=tend)
+        solution = integrate(case, build_grid(case.rmax, 20), np.linspace(0.0, tend, 11))
+        assert solution.times[-1] == tend
+
     def test_mass_drift_small(self, ex1):
         grid = build_grid(ex1.rmax, 150)
         solution = integrate(ex1, grid, tuple(np.linspace(0.0, 1.0, 6)))
