@@ -40,7 +40,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     NumericalError,
-    UnknownCaseError,
 )
 from .collision import CollisionOperator, brute_force_rhs
 from .fvm import integrate, precompute_weights
@@ -82,7 +81,7 @@ _FIGURES = {
 }
 
 
-class UsageError(Exception):
+class UsageError(CbelabError):
     """Bad flags or configuration; maps to exit code 2."""
 
 
@@ -143,10 +142,7 @@ class RunConfig:
                 raise UsageError(f"cannot parse alpha={self.alpha!r} as a number") from None
             if not (-1.0 <= value < 0.0):
                 raise UsageError(f"fixed alpha must lie in [-1, 0), got {value}")
-        try:
-            case = self.resolved_case()
-        except (UnknownCaseError, DomainError) as exc:
-            raise UsageError(str(exc)) from exc
+        case = self.resolved_case()
         # the same bounds ``integrate`` enforces, for every method
         if self.times is not None and not (
             all(0.0 <= t and case.within_horizon(t) for t in self.times)
@@ -161,9 +157,10 @@ class RunConfig:
     def resolved_case(self) -> CaseSpec:
         return with_overrides(registry_case(self.case), rmax=self.rmax, tend=self.tend)
 
-    def hash(self) -> str:
-        # identifies the result-determining settings; the output path is not one
-        values = {k: v for k, v in asdict(self).items() if k != "outdir"}
+    def hash(self, **extra) -> str:
+        # identifies the result-determining settings, with those a command reads
+        # beside the config (``extra``); the output path is not one
+        values = {k: v for k, v in asdict(self).items() if k != "outdir"} | extra
         canon = "\n".join(f"{key}={value}" for key, value in sorted(values.items()))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
@@ -460,7 +457,7 @@ def cmd_eoc(config: RunConfig, cells: list[int]) -> int:
     runs = _Runs(None if config.alpha == "auto" else float(config.alpha))
     _write_csv(
         Path(config.outdir) / "eoc.csv",
-        config.hash(),
+        config.hash(cell_list=tuple(cells)),
         _EOC_HEADER,
         [_eoc_block(case, config.method, cells, config.order, runs)],
     )
@@ -749,9 +746,6 @@ def main(argv: list[str] | None = None) -> int:
         # overflow is caught as a non-finite value before any output
         with np.errstate(over="ignore", invalid="ignore"):
             return _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

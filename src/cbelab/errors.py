@@ -16,6 +16,8 @@ class GridMismatchError(CbelabError, ValueError):
 class UnknownCaseError(CbelabError, KeyError):
     """Requested benchmark case id is not registered."""
 
+    __str__ = Exception.__str__  # the plain message, not KeyError's quoted key
+
 
 class NoExactReferenceError(CbelabError, LookupError):
     """The case has no closed-form reference for the requested quantity."""

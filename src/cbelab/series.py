@@ -395,114 +395,77 @@ def optimize_alpha(case: CaseSpec, grid: Grid, order: int) -> AlphaResult:
 # closed-form reference terms
 # --------------------------------------------------------------------------
 
-def _coeff_rows(
-    grid: Grid, rows: dict[int, Callable[[np.ndarray], np.ndarray]]
-) -> np.ndarray:
-    x = grid.midpoints
-    out = np.zeros((max(rows) + 1, grid.cells))
-    for power, fn in rows.items():
-        out[power] = fn(x)
-    return out
+def _e(x: np.ndarray) -> np.ndarray:
+    return np.exp(-x)
 
 
-def _oracle_builders(alpha: float | None):
-    a = alpha
+def _q1(x: np.ndarray) -> np.ndarray:
+    return (x**2 - 2 * x - 2) * _e(x)
 
-    def ex1_ham(m: int, grid: Grid) -> np.ndarray:
-        e = lambda x: np.exp(-x)
-        rows = {
-            0: {0: lambda x: e(x)},
-            1: {1: lambda x: a * (x - 2) * e(x)},
-            2: {
-                1: lambda x: a * (a + 1) * (x - 2) * e(x),
-                2: lambda x: 0.5 * a**2 * (x**2 - 4 * x + 2) * e(x),
-            },
-            3: {
-                1: lambda x: a * (a + 1) ** 2 * (x - 2) * e(x),
-                2: lambda x: a**2 * (a + 1) * (x**2 - 4 * x + 2) * e(x),
-                3: lambda x: (a**3 / 6.0) * (x**3 - 6 * x**2 + 6 * x) * e(x),
-            },
-        }
-        return _coeff_rows(grid, rows[m])
 
-    def ex1_ahpm(m: int, grid: Grid) -> np.ndarray:
-        e = lambda x: np.exp(-x)
-        rows = {
-            0: {0: lambda x: e(x)},
-            1: {1: lambda x: (2 - x) * e(x)},
-            2: {2: lambda x: 0.5 * (x**2 - 4 * x + 2) * e(x)},
-            3: {3: lambda x: (-(x**3) / 6 + x**2 - x) * e(x)},
-            4: {4: lambda x: (x**4 / 24 - x**3 / 3 + x**2 / 2) * e(x)},
-            5: {5: lambda x: -(x**3) * (x**2 - 10 * x + 20) * e(x) / 120.0},
-        }
-        return _coeff_rows(grid, rows[m])
+def _q2(x: np.ndarray) -> np.ndarray:
+    return (x**3 - 4 * x**2 - 2 * x + 4) * _e(x)
 
-    def ex2_ham(m: int, grid: Grid) -> np.ndarray:
-        e = lambda x: np.exp(-x)
-        q1 = lambda x: (x**2 - 2 * x - 2) * e(x)
-        q2 = lambda x: (x**3 - 4 * x**2 - 2 * x + 4) * e(x)
-        q3 = lambda x: (x**4 - 6 * x**3 + 12 * x) * e(x)
-        rows = {
-            0: {0: lambda x: x * e(x)},
-            1: {1: lambda x: (a / 10.0) * q1(x)},
-            2: {
-                1: lambda x: (a * (a + 1) / 10.0) * q1(x),
-                2: lambda x: (a**2 / 200.0) * q2(x),
-            },
-            3: {
-                1: lambda x: (a * (a + 1) ** 2 / 10.0) * q1(x),
-                2: lambda x: (a**2 * (a + 1) / 100.0) * q2(x),
-                3: lambda x: (a**3 / 6000.0) * q3(x),
-            },
-        }
-        return _coeff_rows(grid, rows[m])
 
-    def ex2_ahpm(m: int, grid: Grid) -> np.ndarray:
-        e = lambda x: np.exp(-x)
-        rows = {
-            0: {0: lambda x: x * e(x)},
-            1: {1: lambda x: (2 + 2 * x - x**2) * e(x) / 10.0},
-            2: {2: lambda x: (x**3 - 4 * x**2 - 2 * x + 4) * e(x) / 200.0},
-            3: {
-                3: lambda x: (-(x**4) / 6000 + x**3 / 1000 - x / 500) * e(x)
-            },
-            4: {
-                4: lambda x: (
-                    x**5 / 240000 - x**4 / 30000 + x**3 / 60000 + x**2 / 10000
-                )
-                * e(x)
-            },
-        }
-        return _coeff_rows(grid, rows[m])
+def _q3(x: np.ndarray) -> np.ndarray:
+    return (x**4 - 6 * x**3 + 12 * x) * _e(x)
 
-    def ex3_ahpm(m: int, grid: Grid) -> np.ndarray:
-        # exact fragment ratios 2/5 and 3/5 give inverse scales 5/2 and 5/3
-        rows = {
-            0: {0: lambda x: np.exp(-x)},
-            1: {
-                1: lambda x: (5.0 / 3.0) * np.exp(-(5.0 / 3.0) * x)
-                + 2.5 * np.exp(-2.5 * x)
-                - np.exp(-x)
-            },
-        }
-        return _coeff_rows(grid, rows[m])
 
-    return {
-        ("ex1", "ham"): (ex1_ham, 3),
-        ("ex1", "ahpm"): (ex1_ahpm, 5),
-        ("ex2", "ham"): (ex2_ham, 3),
-        ("ex2", "ahpm"): (ex2_ahpm, 4),
-        ("ex3", "ahpm"): (ex3_ahpm, 1),
-    }
+# (case, method): terms 0, 1, ..., each ``{power of t: coefficient(x, a)}`` at the
+# sizes ``x``; the ham listings take the control parameter ``a``, the ahpm ones ignore it
+_ORACLE: dict[tuple[str, str], tuple[dict[int, Callable], ...]] = {
+    ("ex1", "ham"): (
+        {0: lambda x, a: _e(x)},
+        {1: lambda x, a: a * (x - 2) * _e(x)},
+        {
+            1: lambda x, a: a * (a + 1) * (x - 2) * _e(x),
+            2: lambda x, a: 0.5 * a**2 * (x**2 - 4 * x + 2) * _e(x),
+        },
+        {
+            1: lambda x, a: a * (a + 1) ** 2 * (x - 2) * _e(x),
+            2: lambda x, a: a**2 * (a + 1) * (x**2 - 4 * x + 2) * _e(x),
+            3: lambda x, a: (a**3 / 6.0) * (x**3 - 6 * x**2 + 6 * x) * _e(x),
+        },
+    ),
+    ("ex1", "ahpm"): (
+        {0: lambda x, a: _e(x)},
+        {1: lambda x, a: (2 - x) * _e(x)},
+        {2: lambda x, a: 0.5 * (x**2 - 4 * x + 2) * _e(x)},
+        {3: lambda x, a: (-(x**3) / 6 + x**2 - x) * _e(x)},
+        {4: lambda x, a: (x**4 / 24 - x**3 / 3 + x**2 / 2) * _e(x)},
+        {5: lambda x, a: -(x**3) * (x**2 - 10 * x + 20) * _e(x) / 120.0},
+    ),
+    ("ex2", "ham"): (
+        {0: lambda x, a: x * _e(x)},
+        {1: lambda x, a: (a / 10.0) * _q1(x)},
+        {
+            1: lambda x, a: (a * (a + 1) / 10.0) * _q1(x),
+            2: lambda x, a: (a**2 / 200.0) * _q2(x),
+        },
+        {
+            1: lambda x, a: (a * (a + 1) ** 2 / 10.0) * _q1(x),
+            2: lambda x, a: (a**2 * (a + 1) / 100.0) * _q2(x),
+            3: lambda x, a: (a**3 / 6000.0) * _q3(x),
+        },
+    ),
+    ("ex2", "ahpm"): (
+        {0: lambda x, a: x * _e(x)},
+        {1: lambda x, a: (2 + 2 * x - x**2) * _e(x) / 10.0},
+        {2: lambda x, a: (x**3 - 4 * x**2 - 2 * x + 4) * _e(x) / 200.0},
+        {3: lambda x, a: (-(x**4) / 6000 + x**3 / 1000 - x / 500) * _e(x)},
+        {4: lambda x, a: (x**5 / 240000 - x**4 / 30000 + x**3 / 60000 + x**2 / 10000) * _e(x)},
+    ),
+    # exact fragment ratios 2/5 and 3/5 give inverse scales 5/2 and 5/3
+    ("ex3", "ahpm"): (
+        {0: lambda x, a: np.exp(-x)},
+        {1: lambda x, a: (5.0 / 3.0) * np.exp(-(5.0 / 3.0) * x) + 2.5 * np.exp(-2.5 * x) - np.exp(-x)},
+    ),
+}
 
 
 def oracle_table() -> tuple[tuple[str, str, int], ...]:
     """All shipped (case, method, order) closed-form reference entries."""
-    builders = _oracle_builders(alpha=-1.0)
-    entries = []
-    for (case_id, method), (_, max_m) in sorted(builders.items()):
-        entries.extend((case_id, method, m) for m in range(max_m + 1))
-    return tuple(entries)
+    return tuple((*key, m) for key in sorted(_ORACLE) for m in range(len(_ORACLE[key])))
 
 
 def oracle_terms(
@@ -518,16 +481,17 @@ def oracle_terms(
         if alpha is None:
             raise DomainError("ham oracle terms require the control parameter")
         alpha = _check_alpha(alpha)
-    builders = _oracle_builders(alpha)
-    entry = builders.get((case_id, method))
-    if entry is None:
+    terms = _ORACLE.get((case_id, method))
+    if terms is None:
         raise NoOracleError(f"no oracle terms for ({case_id}, {method})")
-    builder, max_m = entry
-    if not 0 <= m <= max_m:
+    if not 0 <= m < len(terms):
         raise NoOracleError(
-            f"no oracle term of order {m} for ({case_id}, {method}); have 0..{max_m}"
+            f"no oracle term of order {m} for ({case_id}, {method}); have 0..{len(terms) - 1}"
         )
-    return TimePoly(grid, builder(m, grid))
+    coeffs = np.zeros((max(terms[m]) + 1, grid.cells))
+    for power, fn in terms[m].items():
+        coeffs[power] = fn(grid.midpoints, alpha)
+    return TimePoly(grid, coeffs)
 
 
 def taylor_term(case_id: str, m: int, grid: Grid) -> TimePoly:

@@ -196,8 +196,10 @@ class TestRegistry:
         assert ex3.reference_alpha == pytest.approx(-0.829)
 
     def test_unknown_case(self):
-        with pytest.raises(UnknownCaseError):
+        with pytest.raises(UnknownCaseError) as exc:
             registry_case("ex4")
+        assert isinstance(exc.value, KeyError)
+        assert str(exc.value) == "unknown case 'ex4'; available: ['ex1', 'ex2', 'ex3']"
 
     def test_override_validation(self, ex3):
         assert with_overrides(ex3, tend=0.9).tend == 0.9

@@ -134,9 +134,14 @@ class TestSolveCommand:
         for name in ("concentration.csv", "moments.csv"):
             assert read_body(out1 / name) == read_body(out2 / name)
 
-    def test_unknown_case_is_usage_error(self, tmp_path):
+    def test_unknown_case_is_usage_error(self, tmp_path, capsys):
         code = main(["solve", "--case", "ex9", "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
+        # the plain message, without the quotes of KeyError's str()
+        assert capsys.readouterr().err == (
+            "error: unknown case 'ex9'; available: ['ex1', 'ex2', 'ex3']\n"
+        )
+        assert issubclass(UsageError, cbelab.CbelabError)
 
     @pytest.mark.parametrize(
         "args, config, message",
@@ -342,6 +347,16 @@ class TestEocCommand:
             ]
         )
         assert code == EXIT_USAGE
+
+    def test_cell_list_enters_the_config_hash(self, tmp_path):
+        def config_line(name, cell_list):
+            args = ["eoc", "--case", "ex1", "--method", "fvm", "--cell-list", cell_list]
+            assert main(args + ["--out", str(tmp_path / name)]) == EXIT_OK
+            return (tmp_path / name / "eoc.csv").read_text().splitlines()[0]
+
+        first = config_line("a", "30,60")
+        assert config_line("b", "60,120") != first
+        assert config_line("c", "30,60") == first
 
     def test_fvm_errors_decay(self, tmp_path):
         out = tmp_path / "eoc"

@@ -43,9 +43,13 @@ run solve-ex1-ahpm-t0 solve --case ex1 --method ahpm --times 0
 # a horizon of 1e-13: one step, still far above ten ulps of t
 run solve-ex1-fvm-tend1e-13 solve --case ex1 --method fvm --cells 50 --tend 1e-13
 run eoc-ex1-fvm eoc --case ex1 --method fvm
+run eoc-ex1-fvm-cells eoc --case ex1 --method fvm --cell-list 60,120,240
 run eoc-ex1-ahpm eoc --case ex1 --method ahpm
+run eoc-ex1-ham eoc --case ex1 --method ham --alpha -0.8
 run optimize-alpha-ex2 optimize-alpha --case ex2 --order 5 --cells 200
 run validate validate
 # series overflow: exit code 3 and a stderr of one "numerical failure:" line
 run solve-ex1-ahpm-tend1e40 solve --case ex1 --method ahpm --order 7 --cells 40 --tend 1e40
 run solve-ex1-ahpm-rmax200 solve --case ex1 --method ahpm --order 9 --cells 20 --rmax 200
+# an unknown case: exit code 2 and a stderr of one "error:" line
+run solve-ex9 solve --case ex9
