@@ -69,8 +69,6 @@ from .series import (
     optimize_alpha,
     oracle_table,
     oracle_terms,
-    poly_antiderivative,
-    poly_mul,
     residual,
     taylor_term,
     truncated_sum,

@@ -160,19 +160,31 @@ class CollisionOperator:
     def death(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         return g * self._rates(h, self._at_mid)
 
+    def parent_pass(self, p: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Half of ``collide``, per rank ``k``: the birth map of ``p A_k`` minus ``p A_k``."""
+        weights, sampled = self.weights, self.weights.sample(p)
+        factors = zip(self._at_sites, self._at_mid)
+        return tuple(weights(sampled * at) - p * at_mid for at, at_mid in factors)
+
+    def partner_rates(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The other half, per rank ``k``: the scalar ``sigma_k`` of each time row of ``q``."""
+        return tuple((q @ bw)[:, None] for bw in self._bw)
+
+    @staticmethod
+    def product(passes: tuple, rates: tuple) -> np.ndarray:
+        """``collide`` from its halves; the sum starts from its first term to keep -0.0."""
+        return reduce(np.add, map(cauchy_product, passes, rates))
+
     def collide(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Time coefficients of gain minus loss for parents ``p`` and partners ``q``."""
-        # s(x) = sum_k A_k(x) sigma_k(q): one birth pass over p per rank, then a
-        # scalar per time row; the sum starts from its first term to keep -0.0
-        weights, sampled = self.weights, self.weights.sample(p)
-        return reduce(np.add, (
-            cauchy_product(weights(sampled * at) - p * at_mid, (q @ bw)[:, None])
-            for at, at_mid, bw in zip(self._at_sites, self._at_mid, self._bw)
-        ))
+        return self.product(self.parent_pass(p), self.partner_rates(q))
 
     def rhs(self, f: np.ndarray) -> np.ndarray:
         """Time derivative ``gain - loss`` of the state ``f``."""
-        return self.birth(f, f) - self.death(f, f)
+        weights, rate = self.weights, self._rates(f, self._at_mid)
+        # at midpoint sites birth and death share one rate
+        site_rate = rate if weights.sites is weights.grid.midpoints else self._rates(f, self._at_sites)
+        return weights(weights.sample(f) * site_rate) - f * rate
 
 
 def fragment_shares(grid: Grid, breakage) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cases import CaseSpec, registry_case
-from .collision import CollisionOperator, birth_map, cauchy_product
+from .collision import CollisionOperator, birth_map
 from .errors import (
     DomainError,
     GridMismatchError,
@@ -33,8 +33,6 @@ __all__ = [
     "TimePoly",
     "SeriesSolution",
     "AlphaResult",
-    "poly_mul",
-    "poly_antiderivative",
     "ham_terms",
     "ahpm_terms",
     "truncated_sum",
@@ -115,13 +113,6 @@ def _poly_antider(p: np.ndarray) -> np.ndarray:
     return np.vstack([np.zeros((1, p.shape[1])), p * factors[:, None]])
 
 
-def poly_mul(p: TimePoly, q: TimePoly) -> TimePoly:
-    """Cauchy product in time, pointwise per cell."""
-    if p.grid is not q.grid:
-        raise GridMismatchError("polynomials live on different grids")
-    return TimePoly(p.grid, cauchy_product(p.coeffs, q.coeffs))
-
-
 def _checked(values: np.ndarray, what: str) -> np.ndarray:
     """Computed coefficients or values, which must be finite (a numerical failure, not bad input)."""
     if not np.all(np.isfinite(values)):
@@ -129,23 +120,14 @@ def _checked(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def poly_antiderivative(p: TimePoly) -> TimePoly:
-    """Time antiderivative vanishing at t = 0."""
-    return TimePoly(p.grid, _poly_antider(p.coeffs))
-
-
 # --------------------------------------------------------------------------
-# collision operators on grid functions
+# series construction
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
 def _collision_ops(grid: Grid, kernel, breakage) -> CollisionOperator:
     return CollisionOperator(birth_map(grid, breakage, interpolated=True), kernel)
 
-
-# --------------------------------------------------------------------------
-# series construction
-# --------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class SeriesSolution:
@@ -177,20 +159,35 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _ham_coeffs(
-    ops: CollisionOperator, f0: np.ndarray, order: int, alpha: float
-) -> list[np.ndarray]:
-    """Time coefficients of HAM terms ``0 .. order`` (see ``ham_terms``)."""
-    terms = [np.atleast_2d(f0)]
+@lru_cache(maxsize=1)
+def _hpm_build(grid: Grid, kernel, breakage, init, order: int) -> tuple[tuple, tuple, tuple]:
+    """The alpha = -1 (plain HPM) terms ``g_0 .. g_order``, each with its parent pass
+    and partner rates, so each birth pass is taken once.  The one entry kept serves an
+    alpha search and the series it picks."""
+    ops = _collision_ops(grid, kernel, breakage)
+    terms, passes, rates = [np.atleast_2d(project_initial(init, grid).values)], [], []
+    for m in range(order + 1):
+        passes.append(ops.parent_pass(terms[m]))
+        rates.append(ops.partner_rates(terms[m]))
+        if m < order:
+            conv = np.zeros((1, grid.cells))
+            for k in range(m + 1):
+                conv = _poly_add(conv, ops.product(passes[k], rates[m - k]), -1.0)
+            terms.append(_checked(-_poly_antider(conv), f"ham term {m + 1}"))
+    return tuple(terms), tuple(passes), tuple(rates)
+
+
+def _ham_mixing(order: int, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """HAM term ``m`` is ``sum_j binomial[m, j] power[j] g_j``: ``binomial[m, j] =
+    C(m-1, j-1) (1+alpha)^(m-j)``, ``binomial[0, 0] = 1``, ``power[j] = (-alpha)^j``.
+    An array of alphas adds its axes to both."""
+    alpha = np.asarray(alpha, dtype=float)
+    binomial = np.zeros((order + 1, order + 1) + alpha.shape)
+    binomial[0, 0] = 1.0
     for m in range(1, order + 1):
-        conv = np.zeros((1, f0.size))
-        for k in range(m):
-            conv = _poly_add(conv, ops.collide(terms[k], terms[m - 1 - k]), -1.0)
-        fm = alpha * _poly_antider(conv)
-        if m > 1:
-            fm = _poly_add(fm, terms[m - 1], scale=1.0 + alpha)
-        terms.append(_checked(fm, f"ham term {m}"))
-    return terms
+        for j in range(1, m + 1):
+            binomial[m, j] = math.comb(m - 1, j - 1) * (1 + alpha) ** (m - j)
+    return binomial, np.array([(-alpha) ** j for j in range(order + 1)])
 
 
 def ham_terms(case: CaseSpec, grid: Grid, order: int, alpha: float) -> SeriesSolution:
@@ -199,21 +196,19 @@ def ham_terms(case: CaseSpec, grid: Grid, order: int, alpha: float) -> SeriesSol
     The first correction applies the collision operator to the initial guess;
     each later term recycles the previous one with weight ``1 + alpha`` and
     adds the control-parameter-scaled antiderivative of the order-matched
-    collision convolution.  Term ``m`` has polynomial degree exactly ``m``.
+    collision convolution, so every term mixes the cached alpha = -1 terms
+    (``_ham_mixing``).  Term ``m`` has polynomial degree exactly ``m``.
     """
     alpha = _check_alpha(alpha)
     if order < 0:
         raise DomainError("order must be non-negative")
-    ops = _collision_ops(grid, case.kernel, case.breakage)
-    f0 = project_initial(case.init, grid).values
-    terms = _ham_coeffs(ops, f0, order, alpha)
-    return SeriesSolution(
-        method="ham",
-        case=case,
-        grid=grid,
-        terms=tuple(TimePoly(grid, t) for t in terms),
-        alpha=alpha,
-    )
+    hpm = _hpm_build(grid, case.kernel, case.breakage, case.init, order)[0]
+    binomial, power = _ham_mixing(order, alpha)
+    terms = []
+    for m, row in enumerate(binomial * power):
+        term = sum(c * _poly_pad(g, m + 1) for c, g in zip(row[: m + 1], hpm))
+        terms.append(TimePoly(grid, _checked(term, f"ham term {m}")))
+    return SeriesSolution(method="ham", case=case, grid=grid, terms=tuple(terms), alpha=alpha)
 
 
 def ahpm_terms(case: CaseSpec, grid: Grid, order: int) -> SeriesSolution:
@@ -312,17 +307,16 @@ def _sample(coeffs: np.ndarray, grid: Grid, nodes: tuple[np.ndarray, np.ndarray]
     return np.array([np.interp(sizes, grid.midpoints, row) for row in _poly_eval(coeffs, times)])
 
 
-def _ham_weights(order: int, alpha: np.ndarray) -> np.ndarray:
-    """Weights ``w_j(alpha)``, ``j = 0 .. order``, of the HAM partial sum
-    ``sum_j w_j(alpha) g_j`` in the alpha = -1 (plain HPM) terms ``g_j``.
-
-    HAM term ``m`` is ``sum_j (-alpha)^j C(m-1, j-1) (1+alpha)^(m-j) g_j``.
-    """
-    rows = [np.ones_like(alpha)]
-    for j in range(1, order + 1):
-        tail = sum(math.comb(k - 1, j - 1) * (1 + alpha) ** (k - j) for k in range(j, order + 1))
-        rows.append((-alpha) ** j * tail)
-    return np.array(rows)
+def _alpha_table(case: CaseSpec, grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``A_j`` (``j >= 1``) and ``B_ij`` of ``_alpha_objective``, one row of node values each."""
+    nodes = _collocation(case, order)
+    hpm, passes, rates = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
+    linear = np.array([_sample(g, grid, nodes).ravel() for g in hpm[1:]])
+    quadratic = np.array([
+        [_sample(_poly_antider(CollisionOperator.product(p, q)), grid, nodes).ravel() for q in rates]
+        for p in passes
+    ])
+    return linear, quadratic
 
 
 def _alpha_objective(case: CaseSpec, grid: Grid, order: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -331,19 +325,14 @@ def _alpha_objective(case: CaseSpec, grid: Grid, order: int) -> Callable[[np.nda
     With the partial sum ``sum_j w_j g_j`` (``w_0 = 1``, ``g_0 = f0``) and a
     bilinear ``collide``, the defect at the nodes is
     ``sum_{j>=1} w_j A_j - sum_{i,j} w_i w_j B_ij``, where ``A_j`` samples
-    ``g_j`` and ``B_ij`` samples ``int_0^t C(g_i, g_j)``: one alpha-free build
-    and ``(order + 1)**2`` products fix every value.
+    ``g_j`` and ``B_ij`` samples ``int_0^t C(g_i, g_j)``: the cached
+    alpha-free build and ``(order + 1)**2`` products fix every value.
     """
-    nodes = _collocation(case, order)
-    ops = _collision_ops(grid, case.kernel, case.breakage)
-    hpm = _ham_coeffs(ops, project_initial(case.init, grid).values, order, -1.0)
-    linear = np.array([_sample(g, grid, nodes).ravel() for g in hpm[1:]])
-    quadratic = np.array(
-        [[_sample(_poly_antider(ops.collide(p, q)), grid, nodes).ravel() for q in hpm] for p in hpm]
-    )
+    linear, quadratic = _alpha_table(case, grid, order)
 
     def objective(alpha: np.ndarray) -> np.ndarray:
-        w = _ham_weights(order, np.asarray(alpha, dtype=float))
+        binomial, power = _ham_mixing(order, alpha)
+        w = power * sum(binomial)  # the weights of the partial sum: column sums
         defect = w[1:].T @ linear - np.einsum("ia,ja,ijn->an", w, w, quadratic)
         return np.mean(defect**2, axis=-1)
 

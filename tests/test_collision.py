@@ -173,6 +173,30 @@ def test_factored_custom_kernel_matches_dense_table(law, kernel_id, rng):
         assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("kernel_id", ["product", "mid-bump"])
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_collide_is_a_parent_pass_times_partner_rates(law, kernel_id, rng):
+    # one pass over the parents serves every partner, bit for bit
+    grid = build_grid(6.0, 60)
+    kernel = ProductKernel(1.0) if kernel_id == "product" else _custom_kernel(kernel_id, grid)
+    op = CollisionOperator(birth_map(grid, law, interpolated=True), kernel)
+    p = rng.uniform(0.0, 1.0, (3, grid.cells))
+    passes = op.parent_pass(p)
+    for rows in (1, 2, 4):
+        q = rng.uniform(0.0, 1.0, (rows, grid.cells))
+        assert CollisionOperator.product(passes, op.partner_rates(q)).tobytes() == op.collide(p, q).tobytes()
+
+
+@pytest.mark.parametrize("interpolated", [False, True], ids=["cell-rule", "interpolated"])
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_rhs_is_birth_minus_death_bit_for_bit(law, interpolated, rng):
+    # rhs reads the rate once when the birth sites are the midpoints
+    grid = build_grid(6.0, 60)
+    op = CollisionOperator(birth_map(grid, law, interpolated), CustomKernel(lambda x, y: x + y))
+    f = rng.uniform(0.0, 1.0, grid.cells)
+    assert op.rhs(f).tobytes() == (op.birth(f, f) - op.death(f, f)).tobytes()
+
+
 @pytest.mark.parametrize(
     "kernel_id, rank",
     [("sum", 2), ("step", 2), ("mid-bump", 3), ("diff-sedimentation", 300), ("min", 300)],

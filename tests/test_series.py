@@ -7,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbelab import (
+    CaseSpec,
+    CustomIC,
     DomainError,
     GridFunction,
     GridMismatchError,
+    MassUniformBreakage,
     NoOracleError,
     NumericalError,
+    ProductKernel,
     SeriesSolution,
     TimePoly,
     UnknownCaseError,
@@ -24,15 +28,14 @@ from cbelab import (
     optimize_alpha,
     oracle_table,
     oracle_terms,
-    poly_antiderivative,
-    poly_mul,
     project_initial,
     registry_case,
     residual,
     taylor_term,
     truncated_sum,
 )
-from cbelab.collision import CollisionOperator, birth_map
+from cbelab.collision import CollisionOperator, birth_map, cauchy_product
+from cbelab.series import _poly_antider
 
 # oracle comparisons run on a wide domain so truncation error stays below the
 # quadrature error of the midpoint rule
@@ -94,17 +97,15 @@ class TestTimePoly:
 
 class TestPolyOps:
     def test_mul_identity(self, rng):
-        grid = build_grid(1.0, 5)
-        one = TimePoly(grid, np.ones((1, 5)))
-        q = TimePoly(grid, rng.normal(size=(3, 5)))
-        out = poly_mul(one, q)
-        assert out.coeffs == pytest.approx(q.coeffs)
+        q = rng.normal(size=(3, 5))
+        out = cauchy_product(np.ones((1, 5)), q)
+        assert out == pytest.approx(q)
 
     def test_monomial_product(self):
         grid = build_grid(1.0, 2)
-        a = TimePoly(grid, np.array([[0.0, 0.0], [2.0, 3.0]]))
-        b = TimePoly(grid, np.array([[0.0, 0.0], [5.0, 7.0]]))
-        out = poly_mul(a, b)
+        a = np.array([[0.0, 0.0], [2.0, 3.0]])
+        b = np.array([[0.0, 0.0], [5.0, 7.0]])
+        out = TimePoly(grid, cauchy_product(a, b))
         assert out.degree == 2
         assert out.coeffs[2] == pytest.approx([10.0, 21.0])
 
@@ -112,34 +113,24 @@ class TestPolyOps:
         grid = build_grid(2.0, 4)
         p = TimePoly(grid, rng.normal(size=(3, 4)))
         q = TimePoly(grid, rng.normal(size=(4, 4)))
-        out = poly_mul(p, q)
+        out = TimePoly(grid, cauchy_product(p.coeffs, q.coeffs))
         for t in np.linspace(0.0, 1.5, 7):
             assert out.eval(t).values == pytest.approx(
                 p.eval(t).values * q.eval(t).values
             )
 
-    def test_mul_grid_mismatch(self):
-        a = TimePoly(build_grid(1.0, 4), np.ones((1, 4)))
-        b = TimePoly(build_grid(1.0, 4), np.ones((1, 4)))
-        with pytest.raises(GridMismatchError):
-            poly_mul(a, b)
-
     def test_antiderivative_of_constant(self):
-        grid = build_grid(1.0, 2)
-        c = TimePoly(grid, np.array([[3.0, 4.0]]))
-        out = poly_antiderivative(c)
-        assert out.coeffs == pytest.approx(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        out = _poly_antider(np.array([[3.0, 4.0]]))
+        assert out == pytest.approx(np.array([[0.0, 0.0], [3.0, 4.0]]))
 
     def test_antiderivative_of_linear(self):
-        grid = build_grid(1.0, 2)
-        c = TimePoly(grid, np.array([[0.0, 0.0], [3.0, 4.0]]))
-        out = poly_antiderivative(c)
-        assert out.coeffs[2] == pytest.approx([1.5, 2.0])
+        out = _poly_antider(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        assert out[2] == pytest.approx([1.5, 2.0])
 
     def test_antiderivative_inverts_differentiation(self, rng):
         grid = build_grid(1.0, 3)
         p = TimePoly(grid, rng.normal(size=(4, 3)))
-        anti = poly_antiderivative(p)
+        anti = TimePoly(grid, _poly_antider(p.coeffs))
         h = 1e-6
         for t in (0.2, 0.9):
             derivative = (anti.eval(t + h).values - anti.eval(t - h).values) / (2 * h)
@@ -270,6 +261,23 @@ class TestAhpmSeries:
             assert all(a > b for a, b in zip(distances, distances[1:]))
 
 
+def alpha_recursion(case, grid, order, alpha):
+    """HAM terms 0 .. order straight from the deformation equation at ``alpha``:
+    term m is ``alpha`` times the antiderivative of ``-sum_k C(f_k, f_{m-1-k})``
+    plus ``(1 + alpha) f_{m-1}`` for m > 1.  The reference for ``ham_terms``,
+    which mixes the alpha = -1 terms instead.
+    """
+    ops = series_operator(case, grid)
+    terms = [np.atleast_2d(project_initial(case.init, grid).values)]
+    for m in range(1, order + 1):
+        conv = -sum(ops.collide(terms[k], terms[m - 1 - k]) for k in range(m))
+        fm = alpha * _poly_antider(conv)
+        if m > 1:
+            fm += (1.0 + alpha) * padded(terms[m - 1], m + 1)
+        terms.append(fm)
+    return terms
+
+
 class TestHamAlphaStructure:
     @pytest.mark.parametrize("scheme", ["uniform", "geometric"])
     @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
@@ -277,18 +285,55 @@ class TestHamAlphaStructure:
         # with L = d/dt and H = 1 the deformation equation makes term m a fixed
         # combination of the alpha = -1 (plain HPM) terms g_j:
         # sum_j (-alpha)^j C(m-1, j-1) (1+alpha)^(m-j) g_j
-        case, grid = case_grid(case_id, scheme, 200)
-        hpm = ham_terms(case, grid, 5, -1.0).terms
-        for alpha in (-0.9, -0.826, -0.5, -0.1):
-            terms = ham_terms(case, grid, 5, alpha).terms
-            for m in range(1, 6):
-                expected = sum(
-                    (-alpha) ** j * math.comb(m - 1, j - 1) * (1 + alpha) ** (m - j)
-                    * padded(hpm[j].coeffs, m + 1)
-                    for j in range(1, m + 1)
-                )
-                actual = padded(terms[m].coeffs, m + 1)
-                assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(actual))
+        for cells in (40, 300):
+            case, grid = case_grid(case_id, scheme, cells)
+            for alpha in (-1.0, -0.969, -0.826, -0.5, -0.01):
+                expected = alpha_recursion(case, grid, 7, alpha)
+                for order in (3, 5, 7):
+                    terms = ham_terms(case, grid, order, alpha).terms
+                    for m, term in enumerate(terms):
+                        scale = np.max(np.abs(expected[m]))
+                        error = np.abs(padded(term.coeffs, m + 1) - padded(expected[m], m + 1))
+                        assert np.max(error) <= 1e-14 * scale, (cells, alpha, order, m)
+
+    @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
+    def test_alpha_table_matches_plain_collide(self, case_id):
+        # the table takes each term's parent pass once; it must read exactly
+        # what one collide per pair gives, or the fit and alpha* move
+        from cbelab.series import _alpha_table, _collocation, _hpm_build, _sample
+
+        case, grid = case_grid(case_id, "geometric", 120)
+        linear, quadratic = _alpha_table(case, grid, 5)
+        hpm = _hpm_build(grid, case.kernel, case.breakage, case.init, 5)[0]
+        ops, nodes = series_operator(case, grid), _collocation(case, 5)
+        expected = np.array(
+            [[_sample(_poly_antider(ops.collide(p, q)), grid, nodes).ravel() for q in hpm] for p in hpm]
+        )
+        assert quadratic.tobytes() == expected.tobytes()
+        assert linear.tobytes() == np.array([_sample(g, grid, nodes).ravel() for g in hpm[1:]]).tobytes()
+
+    def test_one_build_serves_every_alpha(self, ex1):
+        from cbelab.series import _hpm_build
+
+        grid = build_grid(ex1.rmax, 40)
+        _hpm_build.cache_clear()
+        for alpha in (-1.0, -0.8, -0.3):
+            ham_terms(ex1, grid, 4, alpha)
+        assert _hpm_build.cache_info().misses == 1
+        ham_terms(ex1, grid, 3, -0.8)
+        # one entry: a new order replaces the build
+        assert _hpm_build.cache_info().maxsize == 1
+        assert _hpm_build.cache_info().currsize == 1
+
+    def test_non_finite_hpm_term_is_a_numerical_failure(self):
+        huge = CaseSpec(
+            id="huge", kernel=ProductKernel(1.0), breakage=MassUniformBreakage(),
+            init=CustomIC(lambda x: 1e200 * np.exp(-x)), rmax=10.0, tend=1.0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match="ham term 1 has non-finite values"
+        ):
+            ham_terms(huge, build_grid(huge.rmax, 20), 3, -0.8)
 
 
 class TestTruncatedSum:
@@ -501,6 +546,31 @@ class TestOptimizeAlpha:
         # the real critical points are evaluated, one HAM build each
         assert 2 <= len(evaluations) <= 5
         assert len(builds) == len(evaluations)
+
+    def test_alpha_search_runs_one_alpha_free_build(self, ex1, monkeypatch):
+        from cbelab.series import _hpm_build
+
+        passes, products = [], []
+        parent_pass, product = CollisionOperator.parent_pass, CollisionOperator.product
+
+        def counted_pass(self, p):
+            passes.append(p.shape)
+            return parent_pass(self, p)
+
+        def counted_product(*args):
+            products.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(CollisionOperator, "parent_pass", counted_pass)
+        monkeypatch.setattr(CollisionOperator, "product", staticmethod(counted_product))
+        _hpm_build.cache_clear()
+        grid = build_grid(ex1.rmax, 300)
+        ham_terms(ex1, grid, 5, optimize_alpha(ex1, grid, 5).alpha)
+        assert _hpm_build.cache_info().misses == 1
+        # one pass per HPM term and one per residual of the 3 candidates; 15
+        # products build the terms, 36 fill the alpha table and 3 the residuals
+        assert len(passes) == 6 + 3
+        assert len(products) == 15 + 36 + 3
 
     @pytest.mark.parametrize(
         "cells, order, alpha_star",

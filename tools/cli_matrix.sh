@@ -35,6 +35,9 @@ for case in ex1 ex2 ex3; do
     done
     run "solve-$case-ham-auto" solve --case "$case" --method ham --alpha auto --cells 200
 done
+# ex2's alpha* is the most sensitive reading of the alpha objective's last bits
+run solve-ex2-ham-auto-geometric solve --case ex2 --method ham --alpha auto --cells 200 \
+    --grid-scheme geometric --eps-min 1e-3
 run solve-ex1-fvm-4000 solve --case ex1 --method fvm --cells 4000
 run solve-ex1-ham-fixed solve --case ex1 --method ham --alpha -0.8 --times 0,0.25,0.5,1 --cells 120
 # a single output time: the projection alone, no step taken
@@ -46,6 +49,7 @@ run eoc-ex1-fvm eoc --case ex1 --method fvm
 run eoc-ex1-fvm-cells eoc --case ex1 --method fvm --cell-list 60,120,240
 run eoc-ex1-ahpm eoc --case ex1 --method ahpm
 run eoc-ex1-ham eoc --case ex1 --method ham --alpha -0.8
+run optimize-alpha-ex1 optimize-alpha --case ex1
 run optimize-alpha-ex2 optimize-alpha --case ex2 --order 5 --cells 200
 run validate validate
 # series overflow: exit code 3 and a stderr of one "numerical failure:" line
