@@ -690,36 +690,51 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return build_config(file_values, {key: getattr(args, key) for key in _SETTINGS})
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cbelab",
-        description="Finite-volume and homotopy-series solvers for collision-induced breakage",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="run one case/method and emit tables")
-    _add_config_flags(p_solve)
-
-    p_eoc = sub.add_parser("eoc", help="doubling-grid convergence table")
-    _add_config_flags(p_eoc)
-    p_eoc.add_argument(
+def _add_eoc_flags(parser: argparse.ArgumentParser) -> None:
+    _add_config_flags(parser)
+    parser.add_argument(
         "--cell-list",
         type=_parse_cells,
         default="30,60,120,240",
         help="comma-separated doubling cell counts",
     )
 
-    p_rep = sub.add_parser("reproduce", help="emit benchmark figure/table data")
-    p_rep.add_argument("target", help=f"all or one of {', '.join(_FIGURES)}")
-    p_rep.add_argument("--out", dest="outdir", default="reproduction")
-    p_rep.add_argument("--cells", type=int, default=300)
 
-    p_alpha = sub.add_parser("optimize-alpha", help="minimise the averaged residual")
-    _add_config_flags(p_alpha)
+def _add_reproduce_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("target", help=f"all or one of {', '.join(_FIGURES)}")
+    parser.add_argument("--out", dest="outdir", default="reproduction")
+    parser.add_argument("--cells", type=int, default=300)
 
-    p_val = sub.add_parser("validate", help="run oracle and invariant checks")
-    p_val.add_argument("--out", dest="outdir", default=None)
+
+def _add_validate_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", dest="outdir", default=None)
+
+
+# command: (help, the function that adds its arguments)
+_COMMANDS = {
+    "solve": ("run one case/method and emit tables", _add_config_flags),
+    "eoc": ("doubling-grid convergence table", _add_eoc_flags),
+    "reproduce": ("emit benchmark figure/table data", _add_reproduce_flags),
+    "optimize-alpha": ("minimise the averaged residual", _add_config_flags),
+    "validate": ("run oracle and invariant checks", _add_validate_flags),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given one of ``_COMMANDS``, only that subparser is built (every
+    subparser costs argparse's set-up), and the usage still lists all five."""
+    parser = argparse.ArgumentParser(
+        prog="cbelab",
+        description="Finite-volume and homotopy-series solvers for collision-induced breakage",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    only = command in _COMMANDS
+    # with one subparser the default metavar would list only its name
+    metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if not only or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -740,8 +755,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # overflow is caught as a non-finite value before any output
         with np.errstate(over="ignore", invalid="ignore"):

@@ -51,10 +51,10 @@ __all__ = [
 def cauchy_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Cauchy product in time of two coefficient arrays, pointwise per column.
 
-    Row ``k`` of each array multiplies ``t**k``; a single-column ``q`` is
-    broadcast across the columns of ``p``.
+    Row ``k`` of each array multiplies ``t**k``; the other axes broadcast, so a
+    single-column ``q`` applies across the columns of ``p``.
     """
-    out = np.zeros((p.shape[0] + q.shape[0] - 1, p.shape[1]))
+    out = np.zeros((p.shape[0] + q.shape[0] - 1,) + np.broadcast_shapes(p.shape[1:], q.shape[1:]))
     for b, row in enumerate(q):
         out[b : b + p.shape[0]] += p * row
     return out

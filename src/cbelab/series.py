@@ -110,7 +110,7 @@ def _poly_add(p: np.ndarray, q: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 def _poly_antider(p: np.ndarray) -> np.ndarray:
     factors = 1.0 / np.arange(1, p.shape[0] + 1)
-    return np.vstack([np.zeros((1, p.shape[1])), p * factors[:, None]])
+    return np.vstack([np.zeros((1,) + p.shape[1:]), p * factors.reshape((-1,) + (1,) * (p.ndim - 1))])
 
 
 def _checked(values: np.ndarray, what: str) -> np.ndarray:
@@ -297,26 +297,60 @@ def averaged_residual(case: CaseSpec, grid: Grid, order: int, alpha: float) -> f
     """Mean squared residual of the order-``order`` series over the collocation nodes."""
     nodes = _collocation(case, order)
     defect = residual(case, ham_terms(case, grid, order, alpha).terms)
-    samples = _sample(defect.coeffs, grid, nodes)
+    cells = _read_cells(grid, nodes[1])
+    samples = _at_nodes(defect.coeffs[:, cells], grid.midpoints[cells], nodes)
     return sum(float(np.sum(row**2)) for row in samples) / samples.size
 
 
-def _sample(coeffs: np.ndarray, grid: Grid, nodes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Time polynomial at the collocation nodes: one row per time, one column per size."""
+def _read_cells(grid: Grid, sizes: np.ndarray) -> np.ndarray:
+    """The sorted cells whose values ``np.interp(sizes, grid.midpoints, ...)`` reads: each
+    size's bracketing pair and the two end cells, which give its values outside the
+    midpoints.  Interpolating on these cells alone returns the same doubles."""
+    last = grid.cells - 1
+    right = np.searchsorted(grid.midpoints, sizes, side="right")
+    read = np.zeros(grid.cells, dtype=bool)
+    read[[0, last]] = True
+    read[np.clip(right - 1, 0, last)] = True
+    read[np.clip(right, 0, last)] = True
+    return np.flatnonzero(read)
+
+
+def _at_nodes(coeffs: np.ndarray, xp: np.ndarray, nodes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Time polynomials ``(rows, ..., cells)`` with cell midpoints ``xp`` at the collocation
+    nodes, ``(times, ..., sizes)``: one Horner pass, then one ``np.interp`` per row."""
     times, sizes = nodes
-    return np.array([np.interp(sizes, grid.midpoints, row) for row in _poly_eval(coeffs, times)])
+    values = _poly_eval(coeffs.reshape(coeffs.shape[0], -1), times)
+    rows = [np.interp(sizes, xp, row) for row in values.reshape(-1, xp.size)]
+    return np.reshape(rows, (times.size,) + coeffs.shape[1:-1] + sizes.shape)
 
 
 def _alpha_table(case: CaseSpec, grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """``A_j`` (``j >= 1``) and ``B_ij`` of ``_alpha_objective``, one row of node values each."""
+    """``A_j`` (``j >= 1``) and ``B_ij`` of ``_alpha_objective``, one row of node values each.
+
+    Only the cells ``np.interp`` reads are carried past the cached parent passes, and
+    the ``(order + 1)**2`` products share one Cauchy product: the parents ``i`` and
+    the partner rates ``j`` sit on their own axes and broadcast.  Zero rows pad every
+    term to ``order + 1`` rows; they add +0.0 to sums that start at +0.0, so each
+    value is the double a separate product would give.
+    """
     nodes = _collocation(case, order)
+    cells = _read_cells(grid, nodes[1])
+    xp = grid.midpoints[cells]
     hpm, passes, rates = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
-    linear = np.array([_sample(g, grid, nodes).ravel() for g in hpm[1:]])
-    quadratic = np.array([
-        [_sample(_poly_antider(CollisionOperator.product(p, q)), grid, nodes).ravel() for q in rates]
-        for p in passes
-    ])
-    return linear, quadratic
+    rows = order + 1
+
+    def stacked(arrays) -> np.ndarray:  # (rows, len(arrays), columns)
+        return np.stack([_poly_pad(a, rows) for a in arrays], axis=1)
+
+    # axes (power of t, i, j, cell)
+    parents = tuple(stacked(p[:, cells] for p in rank)[:, :, None] for rank in zip(*passes))
+    partners = tuple(stacked(rank)[:, None] for rank in zip(*rates))
+    quadratic = _at_nodes(_poly_antider(CollisionOperator.product(parents, partners)), xp, nodes)
+    linear = _at_nodes(stacked(g[:, cells] for g in hpm[1:]), xp, nodes)
+    return (
+        linear.transpose(1, 0, 2).reshape(order, -1),
+        quadratic.transpose(1, 2, 0, 3).reshape(rows, rows, -1),
+    )
 
 
 def _alpha_objective(case: CaseSpec, grid: Grid, order: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -740,3 +740,30 @@ def test_import_pulls_in_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --case ex1 --method ham --alpha auto --cells 40",
+        "solve --case ex1 --method fvm --cells 40",
+        "reproduce fig1 --cells 40",
+    ],
+)
+def test_commands_import_no_numpy_ma(tmp_path, argv):
+    # np.unique and a few other numpy functions import numpy.ma on their first
+    # call, which costs a fresh process 15-38 ms on a 2-core x86-64 host: no
+    # command may reach one
+    code = (
+        "import sys\n"
+        "from cbelab.cli import main\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cbelab.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv.split(), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.split() == [str(EXIT_OK), "False"]

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from cbelab import (
     CaseSpec,
     CustomIC,
+    CustomKernel,
     DomainError,
     GridFunction,
     GridMismatchError,
@@ -35,7 +38,7 @@ from cbelab import (
     truncated_sum,
 )
 from cbelab.collision import CollisionOperator, birth_map, cauchy_product
-from cbelab.series import _poly_antider
+from cbelab.series import _poly_antider, _poly_eval
 
 # oracle comparisons run on a wide domain so truncation error stays below the
 # quadrature error of the midpoint rule
@@ -278,6 +281,21 @@ def alpha_recursion(case, grid, order, alpha):
     return terms
 
 
+def plain_sample(coeffs, grid, nodes):
+    """A time polynomial at the collocation nodes, interpolated from its values on every cell."""
+    times, sizes = nodes
+    return np.array([np.interp(sizes, grid.midpoints, row) for row in _poly_eval(coeffs, times)])
+
+
+# rank 2: 1 + xy + x/10 + y/10 = (x + 1/10)(y + 1/10) + 99/100
+RANK2 = CustomKernel(lambda x, y: 1 + x * y + 0.1 * (x + y))
+
+
+def table_case_grid(case_id, scheme, cells):
+    case, grid = case_grid(case_id.split("-")[0], scheme, cells)
+    return (replace(case, kernel=RANK2) if case_id.endswith("-rank2") else case), grid
+
+
 class TestHamAlphaStructure:
     @pytest.mark.parametrize("scheme", ["uniform", "geometric"])
     @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
@@ -296,21 +314,24 @@ class TestHamAlphaStructure:
                         error = np.abs(padded(term.coeffs, m + 1) - padded(expected[m], m + 1))
                         assert np.max(error) <= 1e-14 * scale, (cells, alpha, order, m)
 
-    @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
+    @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3", "ex1-rank2", "ex3-rank2"])
     def test_alpha_table_matches_plain_collide(self, case_id):
-        # the table takes each term's parent pass once; it must read exactly
-        # what one collide per pair gives, or the fit and alpha* move
-        from cbelab.series import _alpha_table, _collocation, _hpm_build, _sample
+        # the table takes each term's parent pass once, stacks every product and
+        # reads only the cells np.interp reads; it must hold exactly what one
+        # collide per pair sampled on the whole grid gives, or the fit and alpha* move
+        from cbelab.series import _alpha_table, _collocation, _hpm_build
 
-        case, grid = case_grid(case_id, "geometric", 120)
-        linear, quadratic = _alpha_table(case, grid, 5)
-        hpm = _hpm_build(grid, case.kernel, case.breakage, case.init, 5)[0]
-        ops, nodes = series_operator(case, grid), _collocation(case, 5)
-        expected = np.array(
-            [[_sample(_poly_antider(ops.collide(p, q)), grid, nodes).ravel() for q in hpm] for p in hpm]
-        )
-        assert quadratic.tobytes() == expected.tobytes()
-        assert linear.tobytes() == np.array([_sample(g, grid, nodes).ravel() for g in hpm[1:]]).tobytes()
+        for scheme, cells, order in itertools.product(("uniform", "geometric"), (2, 3, 7, 120), (1, 3, 5, 7)):
+            case, grid = table_case_grid(case_id, scheme, cells)
+            linear, quadratic = _alpha_table(case, grid, order)
+            hpm = _hpm_build(grid, case.kernel, case.breakage, case.init, order)[0]
+            ops, nodes = series_operator(case, grid), _collocation(case, order)
+            expected = np.array(
+                [[plain_sample(_poly_antider(ops.collide(p, q)), grid, nodes).ravel() for q in hpm] for p in hpm]
+            )
+            assert quadratic.tobytes() == expected.tobytes(), (scheme, cells, order)
+            linear_expected = np.array([plain_sample(g, grid, nodes).ravel() for g in hpm[1:]])
+            assert linear.tobytes() == linear_expected.tobytes(), (scheme, cells, order)
 
     def test_one_build_serves_every_alpha(self, ex1):
         from cbelab.series import _hpm_build
@@ -495,6 +516,22 @@ class TestAveragedResidual:
         for t in (1e-9, 2e-9):
             assert np.mean(defect.eval(t).values ** 2) < 1e-15
 
+    @pytest.mark.parametrize("order", [1, 5])
+    @pytest.mark.parametrize("cells", [2, 3, 200])
+    @pytest.mark.parametrize("scheme", ["uniform", "geometric"])
+    def test_samples_only_the_cells_interp_reads(self, scheme, cells, order):
+        from cbelab.series import _collocation, _read_cells
+
+        case, grid = case_grid("ex1", scheme, cells)
+        nodes = _collocation(case, order)
+        read = _read_cells(grid, nodes[1])
+        assert np.all(np.diff(read) > 0) and read[0] == 0 and read[-1] == grid.cells - 1
+        assert read.size <= 2 * order + 2
+        # the same double as sampling the whole grid
+        samples = plain_sample(residual(case, ham_terms(case, grid, order, -0.8).terms).coeffs, grid, nodes)
+        value = sum(float(np.sum(row**2)) for row in samples) / samples.size
+        assert averaged_residual(case, grid, order, -0.8) == value
+
     def test_published_optimum_beats_endpoints(self, ex1):
         grid = build_grid(ex1.rmax, 200)
         a_star = averaged_residual(ex1, grid, 5, -0.826)
@@ -568,9 +605,10 @@ class TestOptimizeAlpha:
         ham_terms(ex1, grid, 5, optimize_alpha(ex1, grid, 5).alpha)
         assert _hpm_build.cache_info().misses == 1
         # one pass per HPM term and one per residual of the 3 candidates; 15
-        # products build the terms, 36 fill the alpha table and 3 the residuals
+        # products build the terms, one stacked product fills the alpha table's
+        # 36 pairs and 3 serve the residuals
         assert len(passes) == 6 + 3
-        assert len(products) == 15 + 36 + 3
+        assert len(products) == 15 + 1 + 3
 
     @pytest.mark.parametrize(
         "cells, order, alpha_star",

@@ -51,9 +51,20 @@ run eoc-ex1-ahpm eoc --case ex1 --method ahpm
 run eoc-ex1-ham eoc --case ex1 --method ham --alpha -0.8
 run optimize-alpha-ex1 optimize-alpha --case ex1
 run optimize-alpha-ex2 optimize-alpha --case ex2 --order 5 --cells 200
+# alpha-table edge grids: every cell read, two cells, and an order-7 geometric grid
+run optimize-alpha-ex3-order7-cells7 optimize-alpha --case ex3 --order 7 --cells 7
+run optimize-alpha-ex1-order1-cells2 optimize-alpha --case ex1 --order 1 --cells 2
+run solve-ex1-ham-auto-order7-geometric solve --case ex1 --method ham --alpha auto --order 7 \
+    --cells 60 --grid-scheme geometric --eps-min 1e-3
 run validate validate
 # series overflow: exit code 3 and a stderr of one "numerical failure:" line
 run solve-ex1-ahpm-tend1e40 solve --case ex1 --method ahpm --order 7 --cells 40 --tend 1e40
 run solve-ex1-ahpm-rmax200 solve --case ex1 --method ahpm --order 9 --cells 20 --rmax 200
 # an unknown case: exit code 2 and a stderr of one "error:" line
 run solve-ex9 solve --case ex9
+# help texts, and an unknown command: exit code 2 and argparse's usage error
+run help --help
+for command in solve eoc reproduce optimize-alpha validate; do
+    run "help-$command" "$command" --help
+done
+run unknown-command frobnicate
