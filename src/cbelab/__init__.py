@@ -41,7 +41,6 @@ from .grid import (
     Grid,
     GridFunction,
     build_grid,
-    interp_eval,
     l1_distance,
     l1_norm,
     project_initial,

@@ -531,11 +531,12 @@ _TABLES = {
 }
 
 
-def cmd_reproduce(target: str, outdir_root: str, cells: int = 300) -> int:
+def cmd_reproduce(target: str, outdir_root: str, cells: int = RunConfig.cells) -> int:
     if target != "all" and target not in _FIGURES:
         raise UsageError(f"unknown figure id {target!r}; known: all, {', '.join(_FIGURES)}")
     targets = list(_FIGURES) if target == "all" else [target]
-    chash = RunConfig(case="ex1", cells=cells, outdir=outdir_root).hash()
+    # validated before the first figure, so bad settings leave no file behind
+    chash = RunConfig(case="ex1", cells=cells, outdir=outdir_root).validated().hash()
     runs = _Runs()
     for name in targets:
         case_id, order, kind = _FIGURES[name]
@@ -695,7 +696,7 @@ def _add_eoc_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cell-list",
         type=_parse_cells,
-        default="30,60,120,240",
+        default=list(_TABLE1_CELLS),
         help="comma-separated doubling cell counts",
     )
 
@@ -703,7 +704,7 @@ def _add_eoc_flags(parser: argparse.ArgumentParser) -> None:
 def _add_reproduce_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("target", help=f"all or one of {', '.join(_FIGURES)}")
     parser.add_argument("--out", dest="outdir", default="reproduction")
-    parser.add_argument("--cells", type=int, default=300)
+    parser.add_argument("--cells", type=int, default=RunConfig.cells)
 
 
 def _add_validate_flags(parser: argparse.ArgumentParser) -> None:

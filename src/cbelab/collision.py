@@ -36,7 +36,7 @@ from .cases import (
     kernel_factors,
 )
 from .errors import DomainError
-from .grid import Grid
+from .grid import Grid, _interp_rows
 
 __all__ = [
     "FragWeights",
@@ -114,9 +114,7 @@ class _InterpolatedWeights(FragWeights):
 
     def sample(self, g: np.ndarray) -> np.ndarray:
         # linear between midpoints, constant past the last one, zero beyond R
-        mid = self.grid.midpoints
-        rows = [np.interp(self.sites, mid, row) for row in g.reshape(-1, mid.size)]
-        return np.reshape(rows, g.shape[:-1] + self.sites.shape) * self._inside
+        return _interp_rows(self.sites, self.grid.midpoints, g) * self._inside
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         per_ratio = c.reshape(c.shape[:-1] + (self.scale.size, self.grid.cells))

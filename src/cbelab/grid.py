@@ -19,7 +19,6 @@ __all__ = [
     "build_grid",
     "project_initial",
     "quad_moment",
-    "interp_eval",
     "weighted_norm",
     "l1_norm",
     "l1_distance",
@@ -137,27 +136,23 @@ def project_initial(init: InitialCondition, grid: Grid) -> GridFunction:
     return GridFunction(grid, _GL5_WEIGHTS @ _broadcast_call(init.fn, nodes) * half / grid.widths)
 
 
+def _moments(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
+    """Midpoint-rule moment ``sum_i mid_i**order * v_i * width_i`` of each row of ``values``."""
+    return np.sum(grid.midpoints**order * values * grid.widths, axis=-1)
+
+
 def quad_moment(g: GridFunction, order: int) -> float:
     """Midpoint-rule moment ``sum_i mid_i**order * g_i * width_i``."""
     if order < 0:
         raise DomainError(f"moment order must be >= 0, got {order}")
-    grid = g.grid
-    return float(np.sum(grid.midpoints**order * g.values * grid.widths))
+    return float(_moments(g.grid, g.values, order))
 
 
-def interp_eval(g: GridFunction, x: np.ndarray | float):
-    """Piecewise-linear evaluation between midpoints.
-
-    Constant extension from the first/last midpoint to the domain boundary,
-    zero beyond the truncation radius.
-    """
-    grid = g.grid
-    arr = np.asarray(x, dtype=float)
-    out = np.interp(arr, grid.midpoints, g.values)
-    out = np.where(arr > grid.rmax, 0.0, out)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+def _interp_rows(x: np.ndarray, xp: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, row)`` for each row along the last axis of ``rows``, shaped
+    ``rows.shape[:-1] + x.shape``: linear between the nodes ``xp``, constant outside."""
+    out = [np.interp(x, xp, row) for row in rows.reshape(-1, xp.size)]
+    return np.reshape(out, rows.shape[:-1] + x.shape)
 
 
 def weighted_norm(g: GridFunction, r: float = 1.0, s: float = 0.0) -> float:

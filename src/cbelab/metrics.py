@@ -11,7 +11,7 @@ import numpy as np
 
 from .cases import CaseSpec, exact_concentration
 from .errors import DomainError, GridMismatchError, NoExactReferenceError
-from .grid import Grid, GridFunction, l1_norm, quad_moment
+from .grid import Grid, GridFunction, _moments, l1_norm, quad_moment
 from .series import SeriesSolution
 
 __all__ = [
@@ -53,7 +53,7 @@ def moments_over_time(times, profiles) -> MomentTable:
     if any(g.grid is not grid for g in profiles):
         raise GridMismatchError("profiles live on different grids")
     values = np.array([g.values for g in profiles])
-    moments = np.column_stack([np.sum(grid.midpoints**n * values * grid.widths, axis=1) for n in (0, 1, 2)])
+    moments = np.column_stack([_moments(grid, values, n) for n in (0, 1, 2)])
     minimum = values.min(axis=1)
     mass = moments[:, 1]
     gap = float(np.max(np.abs(mass - mass[0])))

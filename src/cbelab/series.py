@@ -27,7 +27,7 @@ from .errors import (
     NoOracleError,
     NumericalError,
 )
-from .grid import Grid, GridFunction, project_initial
+from .grid import Grid, GridFunction, _interp_rows, project_initial
 
 __all__ = [
     "TimePoly",
@@ -320,8 +320,7 @@ def _at_nodes(coeffs: np.ndarray, xp: np.ndarray, nodes: tuple[np.ndarray, np.nd
     nodes, ``(times, ..., sizes)``: one Horner pass, then one ``np.interp`` per row."""
     times, sizes = nodes
     values = _poly_eval(coeffs.reshape(coeffs.shape[0], -1), times)
-    rows = [np.interp(sizes, xp, row) for row in values.reshape(-1, xp.size)]
-    return np.reshape(rows, (times.size,) + coeffs.shape[1:-1] + sizes.shape)
+    return _interp_rows(sizes, xp, values.reshape((times.size,) + coeffs.shape[1:]))
 
 
 def _alpha_table(case: CaseSpec, grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray]:

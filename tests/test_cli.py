@@ -467,6 +467,14 @@ class TestReproduceCommand:
     def test_unknown_figure(self, tmp_path):
         assert main(["reproduce", "fig99", "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("target", ["all", "table1"])
+    def test_too_few_cells_writes_nothing(self, tmp_path, target, capsys):
+        # table1 reads its own cell counts, yet one cell is still refused
+        out = tmp_path / "rep"
+        assert main(["reproduce", target, "--out", str(out), "--cells", "1"]) == EXIT_USAGE
+        assert "cells must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_term_norm_figure(self, tmp_path):
         out = tmp_path / "rep"
         code = main(["reproduce", "fig3b", "--out", str(out), "--cells", "100"])

@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 
 from cbelab import (
     CustomIC,
+    DiscreteFragmentsBreakage,
     DomainError,
     ExponentialIC,
     GridFunction,
     WeightedExponentialIC,
     build_grid,
-    interp_eval,
     l1_norm,
     project_initial,
     quad_moment,
     weighted_norm,
 )
+from cbelab.collision import birth_map
+from cbelab.grid import _interp_rows
 
 
 class TestBuildGrid:
@@ -128,34 +130,46 @@ class TestQuadMoment:
 
 
 class TestInterpEval:
+    """The two samplers between midpoints the series run: ``grid._interp_rows`` and,
+    for discrete fragments, the interpolated birth map that zeroes sites beyond R."""
+
     def test_midpoints_are_nodes(self):
         grid = build_grid(2.0, 8)
-        g = GridFunction(grid, np.sin(grid.midpoints) + 2.0)
-        for i in (0, 3, 7):
-            assert interp_eval(g, grid.midpoints[i]) == g.values[i]
+        rows = np.stack([np.sin(grid.midpoints) + 2.0, np.cos(grid.midpoints)])
+        samples = _interp_rows(grid.midpoints, grid.midpoints, rows)
+        assert np.array_equal(samples, rows)
 
     def test_zero_beyond_truncation(self):
-        grid = build_grid(2.0, 8)
-        g = GridFunction(grid, np.ones(8))
-        assert interp_eval(g, 3.0) == 0.0
-        assert interp_eval(g, 2.0) == 1.0  # boundary keeps the constant extension
+        grid = build_grid(2.0, 3)
+        sampler = birth_map(grid, DiscreteFragmentsBreakage((0.5, 0.5)), interpolated=True)
+        # sites 2 m per ratio: 2/3 between midpoints, 2 exactly at R, 10/3 past R
+        assert sampler.sites[1] == grid.rmax
+        values = np.array([1.0, 2.0, 4.0])
+        assert sampler.sample(values).tolist() == [1.5, 4.0, 0.0] * 2
+        # the cut multiplies by the mask, so a negative profile reads -0.0 past R
+        assert np.signbit(sampler.sample(-values)).all()
 
     def test_linear_between_midpoints(self):
         grid = build_grid(1.0, 4)
-        g = GridFunction(grid, np.array([1.0, 2.0, 4.0, 0.5]))
-        x = 0.5 * (grid.midpoints[1] + grid.midpoints[2])
-        assert interp_eval(g, x) == pytest.approx(3.0)
+        rows = np.array([[1.0, 2.0, 4.0, 0.5], [0.0, 1.0, 2.0, 3.0]])
+        x = 0.5 * (grid.midpoints[1:] + grid.midpoints[:-1])
+        samples = _interp_rows(x, grid.midpoints, rows)
+        assert samples.shape == (2, 3)
+        assert samples[0] == pytest.approx([1.5, 3.0, 2.25])
+        assert samples[1] == pytest.approx([0.5, 1.5, 2.5])
 
     def test_constant_extension_near_origin(self):
         grid = build_grid(1.0, 4)
-        g = GridFunction(grid, np.array([1.5, 2.0, 2.5, 3.0]))
-        assert interp_eval(g, 1e-6) == 1.5
+        values = np.array([1.5, 2.0, 2.5, 3.0])
+        samples = _interp_rows(np.array([1e-6, 0.1, 0.9, 1.0, 5.0]), grid.midpoints, values)
+        # constant below the first midpoint and past the last, with no cut at R
+        assert samples.tolist() == [1.5, 1.5, 3.0, 3.0, 3.0]
 
     def test_monotone_data_stays_monotone(self):
         grid = build_grid(4.0, 16)
-        g = GridFunction(grid, np.sort(np.exp(-grid.midpoints)))
-        samples = interp_eval(g, np.linspace(1e-3, 4.0, 333))
-        assert np.all(np.diff(samples[:-1]) >= -1e-15)
+        values = np.sort(np.exp(-grid.midpoints))
+        samples = _interp_rows(np.linspace(1e-3, 4.0, 333), grid.midpoints, values)
+        assert np.all(np.diff(samples) >= -1e-15)
 
 
 class TestWeightedNorm:

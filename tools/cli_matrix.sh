@@ -27,6 +27,9 @@ run() {
 
 run reproduce-40 reproduce all --cells 40
 run reproduce-300 reproduce all --cells 300
+# too few cells: exit code 2 before any file is written
+run reproduce-all-cells1 reproduce all --cells 1
+run reproduce-table1-cells1 reproduce table1 --cells 1
 for case in ex1 ex2 ex3; do
     for method in fvm ahpm; do
         run "solve-$case-$method-uniform" solve --case "$case" --method "$method" --cells 120
@@ -54,6 +57,9 @@ run optimize-alpha-ex2 optimize-alpha --case ex2 --order 5 --cells 200
 # alpha-table edge grids: every cell read, two cells, and an order-7 geometric grid
 run optimize-alpha-ex3-order7-cells7 optimize-alpha --case ex3 --order 7 --cells 7
 run optimize-alpha-ex1-order1-cells2 optimize-alpha --case ex1 --order 1 --cells 2
+# interpolated-sampler edges: the sites m/0.4 and m/0.6 fall both inside and past R
+run solve-ex3-ahpm-order3-cells2 solve --case ex3 --method ahpm --order 3 --cells 2
+run solve-ex3-ahpm-order3-cells3 solve --case ex3 --method ahpm --order 3 --cells 3
 run solve-ex1-ham-auto-order7-geometric solve --case ex1 --method ham --alpha auto --order 7 \
     --cells 60 --grid-scheme geometric --eps-min 1e-3
 run validate validate
