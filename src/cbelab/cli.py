@@ -771,6 +771,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

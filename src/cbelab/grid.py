@@ -83,6 +83,10 @@ def build_grid(
         raise DomainError(f"rmax must be finite and positive, got {rmax}")
     if cells < 2:
         raise DomainError(f"need at least 2 cells, got {cells}")
+    # numpy refuses arrays of 2**63 bytes or more with ValueError, not MemoryError, and
+    # linspace rounds the count through a double before it sizes the array
+    if float(cells + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise DomainError(f"{cells} cells exceed the largest array numpy can address")
     if scheme == "uniform":
         edges = np.linspace(0.0, rmax, cells + 1)
     elif scheme == "geometric":

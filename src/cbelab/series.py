@@ -97,15 +97,12 @@ def _poly_eval(coeffs: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def _poly_pad(p: np.ndarray, rows: int) -> np.ndarray:
-    if p.shape[0] >= rows:
-        return p
-    return np.vstack([p, np.zeros((rows - p.shape[0], p.shape[1]))])
-
-
-def _poly_add(p: np.ndarray, q: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    rows = max(p.shape[0], q.shape[0])
-    return _poly_pad(p, rows) + scale * _poly_pad(q, rows)
+def _poly_sum(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum of time-coefficient arrays of any row counts, added in list order into a new array."""
+    out = np.zeros((max(a.shape[0] for a in arrays),) + arrays[0].shape[1:])
+    for a in arrays:
+        out[: a.shape[0]] += a
+    return out
 
 
 def _poly_antider(p: np.ndarray) -> np.ndarray:
@@ -170,10 +167,8 @@ def _hpm_build(grid: Grid, kernel, breakage, init, order: int) -> tuple[tuple, t
         passes.append(ops.parent_pass(terms[m]))
         rates.append(ops.partner_rates(terms[m]))
         if m < order:
-            conv = np.zeros((1, grid.cells))
-            for k in range(m + 1):
-                conv = _poly_add(conv, ops.product(passes[k], rates[m - k]), -1.0)
-            terms.append(_checked(-_poly_antider(conv), f"ham term {m + 1}"))
+            conv = _poly_sum([ops.product(passes[k], rates[m - k]) for k in range(m + 1)])
+            terms.append(_checked(_poly_antider(conv), f"ham term {m + 1}"))
     return tuple(terms), tuple(passes), tuple(rates)
 
 
@@ -206,7 +201,7 @@ def ham_terms(case: CaseSpec, grid: Grid, order: int, alpha: float) -> SeriesSol
     binomial, power = _ham_mixing(order, alpha)
     terms = []
     for m, row in enumerate(binomial * power):
-        term = sum(c * _poly_pad(g, m + 1) for c, g in zip(row[: m + 1], hpm))
+        term = _poly_sum([c * g for c, g in zip(row[: m + 1], hpm)])
         terms.append(TimePoly(grid, _checked(term, f"ham term {m}")))
     return SeriesSolution(method="ham", case=case, grid=grid, terms=tuple(terms), alpha=alpha)
 
@@ -224,10 +219,8 @@ def ahpm_terms(case: CaseSpec, grid: Grid, order: int) -> SeriesSolution:
     ops = _collision_ops(grid, case.kernel, case.breakage)
     f0 = project_initial(case.init, grid).values
     terms = [TimePoly(grid, f0)]
-    partial = terms[0].coeffs
     for n in range(1, order + 1):
-        terms.append(TimePoly(grid, -_checked(_defect(ops, f0, partial), f"ahpm term {n}")))
-        partial = _poly_add(partial, terms[-1].coeffs)
+        terms.append(TimePoly(grid, -_checked(_defect(ops, f0, terms), f"ahpm term {n}")))
     return SeriesSolution(method="ahpm", case=case, grid=grid, terms=tuple(terms))
 
 
@@ -247,17 +240,10 @@ def truncated_sum(series: SeriesSolution, m: int, t) -> GridFunction | tuple[Gri
     return sums[0] if times.ndim == 0 else sums
 
 
-def _stack_terms(terms: Sequence[TimePoly]) -> np.ndarray:
-    rows = max(term.coeffs.shape[0] for term in terms)
-    acc = np.zeros((rows, terms[0].coeffs.shape[1]))
-    for term in terms:
-        acc = _poly_add(acc, term.coeffs)
-    return acc
-
-
-def _defect(ops: CollisionOperator, f0: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Time coefficients of ``theta - f0 - int_0^t C(theta, theta)``."""
-    defect = _poly_add(theta, _poly_antider(ops.collide(theta, theta)), scale=-1.0)
+def _defect(ops: CollisionOperator, f0: np.ndarray, terms: Sequence[TimePoly]) -> np.ndarray:
+    """Time coefficients of ``theta - f0 - int_0^t C(theta, theta)``, ``theta`` the sum of ``terms``."""
+    theta = _poly_sum([term.coeffs for term in terms])
+    defect = _poly_sum([theta, -_poly_antider(ops.collide(theta, theta))])
     defect[0] -= f0
     return defect
 
@@ -276,7 +262,7 @@ def residual(case: CaseSpec, terms: Sequence[TimePoly]) -> TimePoly:
         raise GridMismatchError("series terms live on different grids")
     ops = _collision_ops(grid, case.kernel, case.breakage)
     f0 = project_initial(case.init, grid).values
-    return TimePoly(grid, _checked(_defect(ops, f0, _stack_terms(terms)), "series residual"))
+    return TimePoly(grid, _checked(_defect(ops, f0, terms), "series residual"))
 
 
 # --------------------------------------------------------------------------
@@ -339,7 +325,7 @@ def _alpha_table(case: CaseSpec, grid: Grid, order: int) -> tuple[np.ndarray, np
     rows = order + 1
 
     def stacked(arrays) -> np.ndarray:  # (rows, len(arrays), columns)
-        return np.stack([_poly_pad(a, rows) for a in arrays], axis=1)
+        return np.stack([np.pad(a, ((0, rows - a.shape[0]), (0, 0))) for a in arrays], axis=1)
 
     # axes (power of t, i, j, cell)
     parents = tuple(stacked(p[:, cells] for p in rank)[:, :, None] for rank in zip(*passes))

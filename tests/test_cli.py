@@ -183,6 +183,27 @@ class TestSolveCommand:
         assert "times" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["solve", "--case", "ex1", "--method", "fvm", "--cells", str(10**18)],
+             "error: Unable to allocate"),
+            (["solve", "--case", "ex1", "--method", "fvm", "--cells", str(10**19)],
+             f"error: {10**19} cells exceed the largest array numpy can address"),
+            (["eoc", "--case", "ex1", "--method", "fvm", "--cell-list", f"{5 * 10**17},{10**18}"],
+             "error: Unable to allocate"),
+            (["eoc", "--case", "ex1", "--method", "fvm", "--cell-list", f"{5 * 10**18},{10**19}"],
+             f"error: {5 * 10**18} cells exceed the largest array numpy can address"),
+        ],
+        ids=["solve-1e18", "solve-1e19", "eoc-1e18", "eoc-1e19"],
+    )
+    def test_unallocatable_grid_is_usage_error(self, tmp_path, capsys, args, message):
+        # counts whose arrays fail before any memory is taken
+        assert main(args + ["--out", str(tmp_path / "x")]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not (tmp_path / "x").exists()
+
     def test_times_checked_against_overridden_horizon(self):
         assert build_config({}, {"case": "ex1", "tend": 2.0, "times": (0.0, 1.5)})
         with pytest.raises(UsageError, match="horizon"):

@@ -37,6 +37,13 @@ class TestBuildGrid:
         with pytest.raises(DomainError):
             build_grid(1.0, 1)
 
+    @pytest.mark.parametrize("scheme, eps", [("uniform", None), ("geometric", 1e-3)])
+    @pytest.mark.parametrize("cells", [2**60 - 65, 10**19])
+    def test_cells_past_numpy_array_limit_rejected(self, scheme, eps, cells):
+        # 2**60 - 64 edges round to 2**60 in linspace: 2**63 bytes
+        with pytest.raises(DomainError, match="largest array numpy can address"):
+            build_grid(1.0, cells, scheme=scheme, eps_min=eps)
+
     @pytest.mark.parametrize("rmax", [-1.0, 0.0, math.nan, math.inf])
     def test_rejects_non_finite_or_non_positive_radius(self, rmax):
         with pytest.raises(DomainError, match="rmax must be finite and positive"):

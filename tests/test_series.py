@@ -38,7 +38,7 @@ from cbelab import (
     truncated_sum,
 )
 from cbelab.collision import CollisionOperator, birth_map, cauchy_product
-from cbelab.series import _poly_antider, _poly_eval
+from cbelab.series import _poly_antider, _poly_eval, _poly_sum
 
 # oracle comparisons run on a wide domain so truncation error stays below the
 # quadrature error of the midpoint rule
@@ -99,6 +99,16 @@ class TestTimePoly:
 
 
 class TestPolyOps:
+    def test_sum_pads_ragged_rows_into_a_new_array(self, rng):
+        arrays = [rng.normal(size=(rows, 5)) for rows in (1, 3, 6)]
+        out = _poly_sum(arrays)
+        expected = padded(arrays[0], 6) + padded(arrays[1], 6) + padded(arrays[2], 6)
+        assert out.tobytes() == expected.tobytes()
+        assert not any(np.shares_memory(out, a) for a in arrays)
+        single = _poly_sum(arrays[2:])
+        assert single.tobytes() == arrays[2].tobytes()
+        assert not np.shares_memory(single, arrays[2])
+
     def test_mul_identity(self, rng):
         q = rng.normal(size=(3, 5))
         out = cauchy_product(np.ones((1, 5)), q)
@@ -493,7 +503,7 @@ class TestResidual:
         for m in range(4):
             defect = residual(case, ahpm_terms(case, grid, m).terms)
             following = ahpm_terms(case, grid, m + 1).terms[m + 1]
-            assert np.array_equal(defect.coeffs, -following.coeffs)
+            assert defect.coeffs.tobytes() == (-following.coeffs).tobytes()
             assert not defect.coeffs[0].any()
 
     def test_empty_or_mixed_grid_terms_are_refused(self, ex1):

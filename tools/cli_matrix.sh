@@ -62,12 +62,21 @@ run solve-ex3-ahpm-order3-cells2 solve --case ex3 --method ahpm --order 3 --cell
 run solve-ex3-ahpm-order3-cells3 solve --case ex3 --method ahpm --order 3 --cells 3
 run solve-ex1-ham-auto-order7-geometric solve --case ex1 --method ham --alpha auto --order 7 \
     --cells 60 --grid-scheme geometric --eps-min 1e-3
+# deep AHPM runs that finish: ragged terms summed up to degree 127
+run solve-ex3-ahpm-order7 solve --case ex3 --method ahpm --order 7 --cells 60
+run solve-ex2-ahpm-order7 solve --case ex2 --method ahpm --order 7 --cells 60
+# order 0: each series sum holds a single array
+run solve-ex1-ham-order0 solve --case ex1 --method ham --order 0 --alpha -0.5 --cells 40
+run solve-ex1-ahpm-order0 solve --case ex1 --method ahpm --order 0 --cells 40
 run validate validate
 # series overflow: exit code 3 and a stderr of one "numerical failure:" line
 run solve-ex1-ahpm-tend1e40 solve --case ex1 --method ahpm --order 7 --cells 40 --tend 1e40
 run solve-ex1-ahpm-rmax200 solve --case ex1 --method ahpm --order 9 --cells 20 --rmax 200
 # an unknown case: exit code 2 and a stderr of one "error:" line
 run solve-ex9 solve --case ex9
+# a grid too large to allocate: exit code 2 and one "error:" line, failing before
+# any memory is taken
+run solve-ex1-fvm-cells1e18 solve --case ex1 --method fvm --cells 1000000000000000000
 # help texts, and an unknown command: exit code 2 and argparse's usage error
 run help --help
 for command in solve eoc reproduce optimize-alpha validate; do
