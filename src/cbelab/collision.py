@@ -148,9 +148,14 @@ class CollisionOperator:
         self._at_sites, self._at_mid = at[:, : sites.size], at[:, -mid.size :]
         self._bw = b * weights.grid.widths
 
+    def _sigma(self, h: np.ndarray) -> np.ndarray:
+        """``sum_l B_k(m_l) w_l h_l``, rank ``k`` on a new last axis: a numpy sum, not BLAS, so
+        a row's doubles do not depend on the row count of ``h`` or on the thread count."""
+        return np.sum(h[..., None, :] * self._bw, axis=-1)
+
     def _rates(self, h: np.ndarray, at: np.ndarray) -> np.ndarray:
         """Collision rates against the partner ``h`` at the sizes of the factor ``at``."""
-        return np.dot(np.dot(h, self._bw.T), at)
+        return np.dot(self._sigma(h), at)
 
     def birth(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         return self.weights(self.weights.sample(g) * self._rates(h, self._at_sites))
@@ -166,7 +171,7 @@ class CollisionOperator:
 
     def partner_rates(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
         """The other half, per rank ``k``: the scalar ``sigma_k`` of each time row of ``q``."""
-        return tuple((q @ bw)[:, None] for bw in self._bw)
+        return tuple(sigma[:, None] for sigma in self._sigma(q).T)
 
     @staticmethod
     def product(passes: tuple, rates: tuple) -> np.ndarray:

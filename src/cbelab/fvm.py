@@ -80,7 +80,8 @@ _P = np.array(
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size**0.5
+    # a numpy sum, not a BLAS dot, so the norm does not depend on the thread count
+    return np.sqrt(np.sum(x * x)) / x.size**0.5
 
 
 def _check_scales(*scales: float) -> None:

@@ -157,19 +157,20 @@ def _check_alpha(alpha: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _hpm_build(grid: Grid, kernel, breakage, init, order: int) -> tuple[tuple, tuple, tuple]:
-    """The alpha = -1 (plain HPM) terms ``g_0 .. g_order``, each with its parent pass
-    and partner rates, so each birth pass is taken once.  The one entry kept serves an
-    alpha search and the series it picks."""
+def _hpm_build(grid: Grid, kernel, breakage, init, order: int) -> tuple[np.ndarray, tuple, tuple]:
+    """The alpha = -1 (plain HPM) terms ``g_j = c_j t**j``: the Taylor rows ``c_0 .. c_order``
+    stacked, each with its parent pass and partner rates, so each birth pass is taken
+    once.  The one entry kept serves an alpha search and the series it picks."""
     ops = _collision_ops(grid, kernel, breakage)
-    terms, passes, rates = [np.atleast_2d(project_initial(init, grid).values)], [], []
+    rows, passes, rates = np.zeros((order + 1, grid.cells)), [], []
+    rows[0] = project_initial(init, grid).values
     for m in range(order + 1):
-        passes.append(ops.parent_pass(terms[m]))
-        rates.append(ops.partner_rates(terms[m]))
-        if m < order:
-            conv = _poly_sum([ops.product(passes[k], rates[m - k]) for k in range(m + 1)])
-            terms.append(_checked(_poly_antider(conv), f"ham term {m + 1}"))
-    return tuple(terms), tuple(passes), tuple(rates)
+        passes.append(ops.parent_pass(rows[m : m + 1]))
+        rates.append(ops.partner_rates(rows[m : m + 1]))
+        if m < order:  # g_{m+1} = int_0^t sum_k C(g_k, g_{m-k}), one row of power m + 1
+            conv = sum(ops.product(passes[k], rates[m - k]) for k in range(m + 1))
+            rows[m + 1] = _checked(conv * (1.0 / (m + 1)), f"ham term {m + 1}")
+    return rows, tuple(passes), tuple(rates)
 
 
 def _ham_mixing(order: int, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +198,13 @@ def ham_terms(case: CaseSpec, grid: Grid, order: int, alpha: float) -> SeriesSol
     alpha = _check_alpha(alpha)
     if order < 0:
         raise DomainError("order must be non-negative")
-    hpm = _hpm_build(grid, case.kernel, case.breakage, case.init, order)[0]
+    rows = _hpm_build(grid, case.kernel, case.breakage, case.init, order)[0]
     binomial, power = _ham_mixing(order, alpha)
-    terms = []
-    for m, row in enumerate(binomial * power):
-        term = _poly_sum([c * g for c, g in zip(row[: m + 1], hpm)])
-        terms.append(TimePoly(grid, _checked(term, f"ham term {m}")))
-    return SeriesSolution(method="ham", case=case, grid=grid, terms=tuple(terms), alpha=alpha)
+    terms = tuple(
+        TimePoly(grid, _checked(mix[: m + 1, None] * rows[: m + 1], f"ham term {m}"))
+        for m, mix in enumerate(binomial * power)
+    )
+    return SeriesSolution(method="ham", case=case, grid=grid, terms=terms, alpha=alpha)
 
 
 def ahpm_terms(case: CaseSpec, grid: Grid, order: int) -> SeriesSolution:
@@ -310,32 +311,25 @@ def _at_nodes(coeffs: np.ndarray, xp: np.ndarray, nodes: tuple[np.ndarray, np.nd
 
 
 def _alpha_table(case: CaseSpec, grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """``A_j`` (``j >= 1``) and ``B_ij`` of ``_alpha_objective``, one row of node values each.
-
-    Only the cells ``np.interp`` reads are carried past the cached parent passes, and
-    the ``(order + 1)**2`` products share one Cauchy product: the parents ``i`` and
-    the partner rates ``j`` sit on their own axes and broadcast.  Zero rows pad every
-    term to ``order + 1`` rows; they add +0.0 to sums that start at +0.0, so each
-    value is the double a separate product would give.
-    """
+    """``A_j`` (``j >= 1``) and ``B_ij`` of ``_alpha_objective`` on the cells ``np.interp`` reads:
+    the monomials ``c_j t**j`` and ``(pass_i rates_j) t**(i+j+1) / (i+j+1)``, each in its row of a
+    zero array, so Horner's rule gives ``v t ... t``, the doubles of zero-padded terms."""
     nodes = _collocation(case, order)
     cells = _read_cells(grid, nodes[1])
     xp = grid.midpoints[cells]
-    hpm, passes, rates = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
-    rows = order + 1
-
-    def stacked(arrays) -> np.ndarray:  # (rows, len(arrays), columns)
-        return np.stack([np.pad(a, ((0, rows - a.shape[0]), (0, 0))) for a in arrays], axis=1)
-
-    # axes (power of t, i, j, cell)
-    parents = tuple(stacked(p[:, cells] for p in rank)[:, :, None] for rank in zip(*passes))
-    partners = tuple(stacked(rank)[:, None] for rank in zip(*rates))
-    quadratic = _at_nodes(_poly_antider(CollisionOperator.product(parents, partners)), xp, nodes)
-    linear = _at_nodes(stacked(g[:, cells] for g in hpm[1:]), xp, nodes)
-    return (
-        linear.transpose(1, 0, 2).reshape(order, -1),
-        quadratic.transpose(1, 2, 0, 3).reshape(rows, rows, -1),
-    )
+    rows, passes, rates = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
+    n = order + 1
+    # axes (time row, i, j, cell): one product of every parent pass with every partner's rates
+    parents = tuple(np.stack(rank, axis=1)[:, :, None, cells] for rank in zip(*passes))
+    partners = tuple(np.stack(rank, axis=1)[:, None] for rank in zip(*rates))
+    i, j = np.indices((n, n))
+    quadratic, linear = np.zeros((2 * n, n, n, cells.size)), np.zeros((n, order, cells.size))
+    product = CollisionOperator.product(parents, partners)[0]
+    quadratic[i + j + 1, i, j] = product * (1.0 / (i + j + 1))[..., None]
+    linear[np.arange(1, n), np.arange(order)] = rows[1:, cells]
+    linear = _at_nodes(linear, xp, nodes).transpose(1, 0, 2)
+    quadratic = _at_nodes(quadratic, xp, nodes).transpose(1, 2, 0, 3)
+    return linear.reshape(order, -1), quadratic.reshape(n, n, -1)
 
 
 def _alpha_objective(case: CaseSpec, grid: Grid, order: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -187,6 +187,24 @@ def test_collide_is_a_parent_pass_times_partner_rates(law, kernel_id, rng):
         assert CollisionOperator.product(passes, op.partner_rates(q)).tobytes() == op.collide(p, q).tobytes()
 
 
+@pytest.mark.parametrize("cells", [40, 300, 4000])
+@pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3", "ex1-rank2"])
+def test_partner_rates_do_not_depend_on_the_row_count(case_id, cells, rng):
+    # a row's rates are the same doubles alone and inside a zero-padded array,
+    # so a one-row Taylor term reads what its padded time polynomial would
+    case = registry_case(case_id.split("-")[0])
+    kernel = CustomKernel(lambda x, y: x + y) if case_id.endswith("rank2") else case.kernel
+    grid = build_grid(case.rmax, cells)
+    op = CollisionOperator(birth_map(grid, case.breakage, interpolated=True), kernel)
+    row = rng.uniform(0.0, 1.0, (1, cells))
+    assert len(op.partner_rates(row)) == (2 if case_id.endswith("rank2") else 1)
+    for j in (1, 3, 7):
+        padded = np.zeros((j + 1, cells))
+        padded[j] = row[0]
+        for alone, inside in zip(op.partner_rates(row), op.partner_rates(padded)):
+            assert alone.tobytes() == inside[j:].tobytes(), j
+
+
 @pytest.mark.parametrize("interpolated", [False, True], ids=["cell-rule", "interpolated"])
 @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
 def test_rhs_is_birth_minus_death_bit_for_bit(law, interpolated, rng):

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cbelab
 from cbelab import (
     CaseSpec,
     ConstantKernel,
@@ -307,3 +312,29 @@ def test_stepper_matches_scipy_rk45(case_id, scheme, cells):
     for snapshot, values in zip(solution.snapshots, expected):
         assert np.array_equal(snapshot.values, values)
     assert (solution.step_count, solution.rhs_evaluations) == (steps, stepper.nfev)
+
+
+def test_final_profile_does_not_depend_on_the_blas_thread_count():
+    # the operator's rate sums and the stepper's error norm are numpy reductions,
+    # not threaded BLAS ones; OpenBLAS splits a dot product from about 10 000 cells
+    script = (
+        "import sys\n"
+        "from cbelab import build_grid, integrate, registry_case\n"
+        "for case_id, cells in (('ex1', 12000), ('ex2', 20000), ('ex1', 40000)):\n"
+        "    case = registry_case(case_id)\n"
+        "    solution = integrate(case, build_grid(case.rmax, cells), [0.0, case.tend])\n"
+        "    sys.stdout.write(solution.snapshots[-1].values.tobytes().hex() + '\\n')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cbelab.__file__).parents[1]))
+    profiles = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(env, OPENBLAS_NUM_THREADS=str(threads)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        for threads in (1, 2)
+    ]
+    assert len(profiles[0]) == 3
+    assert profiles[0] == profiles[1]

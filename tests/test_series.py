@@ -62,6 +62,13 @@ def padded(coeffs, rows):
     return out
 
 
+def monomial(row, power):
+    """The time polynomial ``row * t**power`` as a zero-padded coefficient array."""
+    out = np.zeros((power + 1, row.size))
+    out[power] = row
+    return out
+
+
 class TestTimePoly:
     def test_trailing_zero_rows_trimmed(self):
         grid = build_grid(1.0, 4)
@@ -328,13 +335,15 @@ class TestHamAlphaStructure:
     def test_alpha_table_matches_plain_collide(self, case_id):
         # the table takes each term's parent pass once, stacks every product and
         # reads only the cells np.interp reads; it must hold exactly what one
-        # collide per pair sampled on the whole grid gives, or the fit and alpha* move
+        # collide per pair of zero-padded monomials sampled on the whole grid
+        # gives, or the fit and alpha* move
         from cbelab.series import _alpha_table, _collocation, _hpm_build
 
         for scheme, cells, order in itertools.product(("uniform", "geometric"), (2, 3, 7, 120), (1, 3, 5, 7)):
             case, grid = table_case_grid(case_id, scheme, cells)
             linear, quadratic = _alpha_table(case, grid, order)
-            hpm = _hpm_build(grid, case.kernel, case.breakage, case.init, order)[0]
+            rows = _hpm_build(grid, case.kernel, case.breakage, case.init, order)[0]
+            hpm = [monomial(row, j) for j, row in enumerate(rows)]
             ops, nodes = series_operator(case, grid), _collocation(case, order)
             expected = np.array(
                 [[plain_sample(_poly_antider(ops.collide(p, q)), grid, nodes).ravel() for q in hpm] for p in hpm]
@@ -342,6 +351,19 @@ class TestHamAlphaStructure:
             assert quadratic.tobytes() == expected.tobytes(), (scheme, cells, order)
             linear_expected = np.array([plain_sample(g, grid, nodes).ravel() for g in hpm[1:]])
             assert linear.tobytes() == linear_expected.tobytes(), (scheme, cells, order)
+
+    @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
+    def test_hpm_terms_are_single_taylor_rows(self, case_id):
+        # at alpha = -1 the recursion makes term j the monomial c_j t**j; the
+        # build keeps c_j alone, the same doubles as the zero-padded term
+        from cbelab.series import _hpm_build
+
+        case, grid = case_grid(case_id, "uniform", 300)
+        rows = _hpm_build(grid, case.kernel, case.breakage, case.init, 7)[0]
+        for j, term in enumerate(alpha_recursion(case, grid, 7, -1.0)):
+            assert term.shape == (j + 1, grid.cells)
+            assert rows[j].tobytes() == term[j].tobytes(), j
+            assert not term[:j].any(), j
 
     def test_one_build_serves_every_alpha(self, ex1):
         from cbelab.series import _hpm_build

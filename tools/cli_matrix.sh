@@ -42,6 +42,14 @@ done
 run solve-ex2-ham-auto-geometric solve --case ex2 --method ham --alpha auto --cells 200 \
     --grid-scheme geometric --eps-min 1e-3
 run solve-ex1-fvm-4000 solve --case ex1 --method fvm --cells 4000
+# the same run at one and at two OpenBLAS threads, above the size where OpenBLAS
+# splits a dot product: the .cmp file holds cmp's exit code, 0 for identical files
+for threads in 1 2; do
+    OPENBLAS_NUM_THREADS=$threads run "solve-ex2-fvm-20000-threads$threads" \
+        solve --case ex2 --method fvm --cells 20000
+done
+cmp -s solve-ex2-fvm-20000-threads1/concentration.csv solve-ex2-fvm-20000-threads2/concentration.csv
+echo $? >solve-ex2-fvm-20000-threads.cmp
 run solve-ex1-ham-fixed solve --case ex1 --method ham --alpha -0.8 --times 0,0.25,0.5,1 --cells 120
 # a single output time: the projection alone, no step taken
 run solve-ex1-fvm-t0 solve --case ex1 --method fvm --times 0
