@@ -362,7 +362,7 @@ class _Runs:
 
     ham uses ``alpha``, or the case's published value when it is None.  A
     series is summed at all 11 times in one ``truncated_sum`` call.
-    Dormand–Prince 5(4) steps do not depend on the output times, so the
+    The FVM's Taylor stages do not depend on the output times, so the
     horizon profile is the one a run to the horizon alone gives.
     """
 

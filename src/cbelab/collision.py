@@ -11,6 +11,9 @@ Every kernel is applied in factored form, ``K(x, y) = sum_k A_k(x) B_k(y)``
 application and every birth map O(N).  The shipped kernels have rank r = 1; a
 ``CustomKernel`` gets the rank its adaptive cross approximation needs.
 
+``CollisionOperator.taylor_rows`` is the equation's time-Taylor recursion: the
+finite volumes step by it and the homotopy series are built from it.
+
 Birth maps:
 
 - mass-uniform breakage: a suffix sum over the parents; a parent in the
@@ -46,6 +49,16 @@ __all__ = [
     "fragment_shares",
     "cauchy_product",
 ]
+
+
+def _poly_eval(coeffs: np.ndarray, t) -> np.ndarray:
+    """Horner values at a time (shape ``(cells,)``) or a 1-D array of times (``(times, cells)``)."""
+    times = np.asarray(t, dtype=float)
+    out = np.zeros(times.shape + coeffs.shape[1:])
+    for row in coeffs[::-1]:
+        out *= times[..., None]
+        out += row
+    return out
 
 
 def cauchy_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -181,6 +194,23 @@ class CollisionOperator:
     def collide(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Time coefficients of gain minus loss for parents ``p`` and partners ``q``."""
         return self.product(self.parent_pass(p), self.partner_rates(q))
+
+    def taylor_rows(self, f0: np.ndarray, order: int) -> tuple[np.ndarray, tuple, tuple]:
+        """Time-Taylor rows ``c_0 = f0 .. c_order`` of ``df/dt = collide(f, f)``, stacked, each
+        with its parent pass and partner rates: ``c_{m+1} = sum_k collide(c_k, c_{m-k}) / (m + 1)``,
+        one row of power ``m + 1`` accumulated in place, so each birth pass is taken once."""
+        rows, passes, rates = np.zeros((order + 1, f0.size)), [], []
+        rows[0] = f0
+        for m in range(order + 1):
+            passes.append(self.parent_pass(rows[m : m + 1]))
+            rates.append(self.partner_rates(rows[m : m + 1]))
+            if m < order:
+                conv = np.zeros((1, f0.size))
+                for k in range(m + 1):
+                    for p, sigma in zip(passes[k], rates[m - k]):
+                        conv += p * sigma
+                rows[m + 1] = conv * (1.0 / (m + 1))
+        return rows, tuple(passes), tuple(rates)
 
     def rhs(self, f: np.ndarray) -> np.ndarray:
         """Time derivative ``gain - loss`` of the state ``f``."""

@@ -32,8 +32,8 @@ class NumericalError(CbelabError, RuntimeError):
 
 
 class StiffnessError(NumericalError):
-    """Adaptive stepper drove the step size below the spacing of t."""
+    """An adaptive Taylor stage of the time stepper fell below ten ulps of t."""
 
 
 class DivergenceError(NumericalError):
-    """Non-finite values appeared in the integration state."""
+    """Non-finite values appeared in the time stepper's Taylor rows or state."""

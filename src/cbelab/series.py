@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cases import CaseSpec, registry_case
-from .collision import CollisionOperator, birth_map
+from .collision import CollisionOperator, _poly_eval, birth_map
 from .errors import (
     DomainError,
     GridMismatchError,
@@ -87,16 +87,6 @@ class TimePoly:
         return GridFunction(self.grid, _checked(_poly_eval(self.coeffs, t), f"polynomial at t={t:g}"))
 
 
-def _poly_eval(coeffs: np.ndarray, t) -> np.ndarray:
-    """Horner values at a time (shape ``(cells,)``) or a 1-D array of times (``(times, cells)``)."""
-    times = np.asarray(t, dtype=float)
-    out = np.zeros(times.shape + coeffs.shape[1:])
-    for row in coeffs[::-1]:
-        out *= times[..., None]
-        out += row
-    return out
-
-
 def _poly_sum(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Sum of time-coefficient arrays of any row counts, added in list order into a new array."""
     out = np.zeros((max(a.shape[0] for a in arrays),) + arrays[0].shape[1:])
@@ -158,19 +148,16 @@ def _check_alpha(alpha: float) -> float:
 
 @lru_cache(maxsize=1)
 def _hpm_build(grid: Grid, kernel, breakage, init, order: int) -> tuple[np.ndarray, tuple, tuple]:
-    """The alpha = -1 (plain HPM) terms ``g_j = c_j t**j``: the Taylor rows ``c_0 .. c_order``
-    stacked, each with its parent pass and partner rates, so each birth pass is taken
-    once.  The one entry kept serves an alpha search and the series it picks."""
+    """The alpha = -1 (plain HPM) terms ``g_j = c_j t**j``: the ``taylor_rows`` of the
+    interpolated-rule operator from the projected initial condition, with their parent
+    passes and partner rates.  The one entry kept serves an alpha search and the series
+    it picks."""
     ops = _collision_ops(grid, kernel, breakage)
-    rows, passes, rates = np.zeros((order + 1, grid.cells)), [], []
-    rows[0] = project_initial(init, grid).values
-    for m in range(order + 1):
-        passes.append(ops.parent_pass(rows[m : m + 1]))
-        rates.append(ops.partner_rates(rows[m : m + 1]))
-        if m < order:  # g_{m+1} = int_0^t sum_k C(g_k, g_{m-k}), one row of power m + 1
-            conv = sum(ops.product(passes[k], rates[m - k]) for k in range(m + 1))
-            rows[m + 1] = _checked(conv * (1.0 / (m + 1)), f"ham term {m + 1}")
-    return rows, tuple(passes), tuple(rates)
+    build = ops.taylor_rows(project_initial(init, grid).values, order)
+    # the first non-finite row names the failing term; row 0 (the projection) is finite
+    first = int(np.argmin(np.all(np.isfinite(build[0]), axis=1)))
+    _checked(build[0][first], f"ham term {first}")
+    return build
 
 
 def _ham_mixing(order: int, alpha) -> tuple[np.ndarray, np.ndarray]:

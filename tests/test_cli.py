@@ -88,11 +88,11 @@ class TestSolveCommand:
         run_info = json.loads((out / "run.json").read_text())
         assert run_info["config"]["cells"] == 80
         assert run_info["fvm_steps"] > 0
-        # Dormand–Prince 5(4) evaluates the right-hand side several times per accepted step
+        # each Taylor stage applies the operator once per row of the stage
         assert run_info["rhs_evaluations"] > run_info["fvm_steps"]
 
     def test_fvm_solve_on_a_short_horizon(self, tmp_path):
-        # a horizon of 1e-13 is one step of about 1e-13, far above ten ulps of t
+        # a horizon of 1e-13 is one stage of 1e-13, far above ten ulps of t
         out = tmp_path / "run"
         argv = ["solve", "--case", "ex1", "--method", "fvm", "--cells", "50", "--tend", "1e-13"]
         assert main(argv + ["--out", str(out)]) == EXIT_OK

@@ -87,6 +87,19 @@ def test_fvm_and_series_share_the_mass_uniform_operator(case_id, scheme):
     assert np.max(np.abs(fvm - series)) <= 1e-13 * np.max(np.abs(fvm))
 
 
+@pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
+@pytest.mark.parametrize("scheme", ["uniform", "geometric"])
+def test_first_taylor_row_is_the_rhs(case_id, scheme):
+    # the FVM steps by the Taylor rows of the cell-rule operator; row 1 is its time derivative
+    case = registry_case(case_id)
+    grid = _grid(case.rmax, 300, scheme)
+    operator = CollisionOperator(precompute_weights(grid, case.breakage), case.kernel)
+    f0 = project_initial(case.init, grid).values
+    rhs = operator.rhs(f0)
+    row = operator.taylor_rows(f0, 3)[0][1]
+    assert np.max(np.abs(row - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+
+
 @pytest.mark.parametrize("law", LAWS, ids=["mass-uniform", "fragments"])
 def test_dense_custom_kernel_matches_rank_one_product_kernel(law, rng):
     grid = build_grid(10.0, 40)

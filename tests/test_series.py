@@ -365,6 +365,22 @@ class TestHamAlphaStructure:
             assert rows[j].tobytes() == term[j].tobytes(), j
             assert not term[:j].any(), j
 
+    @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
+    @pytest.mark.parametrize("order", [0, 3, 7])
+    def test_hpm_build_is_the_shared_taylor_recursion(self, case_id, order):
+        # the series and the FVM step by one recursion: the build is the taylor_rows of the
+        # interpolated-rule operator from the projection, its passes and rates included
+        from cbelab.series import _hpm_build
+
+        case, grid = case_grid(case_id, "uniform", 300)
+        built = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
+        ops = CollisionOperator(birth_map(grid, case.breakage, interpolated=True), case.kernel)
+        expected = ops.taylor_rows(project_initial(case.init, grid).values, order)
+        assert built[0].shape == (order + 1, grid.cells)
+        assert built[0].tobytes() == expected[0].tobytes()
+        for got, want in zip(built[1:], expected[1:]):
+            assert [a.tobytes() for row in got for a in row] == [a.tobytes() for row in want for a in row]
+
     def test_one_build_serves_every_alpha(self, ex1):
         from cbelab.series import _hpm_build
 
@@ -636,11 +652,11 @@ class TestOptimizeAlpha:
         grid = build_grid(ex1.rmax, 300)
         ham_terms(ex1, grid, 5, optimize_alpha(ex1, grid, 5).alpha)
         assert _hpm_build.cache_info().misses == 1
-        # one pass per HPM term and one per residual of the 3 candidates; 15
-        # products build the terms, one stacked product fills the alpha table's
-        # 36 pairs and 3 serve the residuals
+        # one pass per HPM term and one per residual of the 3 candidates; the
+        # terms sum their 15 one-row products in place in taylor_rows, one
+        # stacked product fills the alpha table's 36 pairs and 3 serve the residuals
         assert len(passes) == 6 + 3
-        assert len(products) == 15 + 1 + 3
+        assert len(products) == 1 + 3
 
     @pytest.mark.parametrize(
         "cells, order, alpha_star",

@@ -54,8 +54,10 @@ run solve-ex1-ham-fixed solve --case ex1 --method ham --alpha -0.8 --times 0,0.2
 # a single output time: the projection alone, no step taken
 run solve-ex1-fvm-t0 solve --case ex1 --method fvm --times 0
 run solve-ex1-ahpm-t0 solve --case ex1 --method ahpm --times 0
-# a horizon of 1e-13: one step, still far above ten ulps of t
+# a horizon of 1e-13: one stage, still far above ten ulps of t
 run solve-ex1-fvm-tend1e-13 solve --case ex1 --method fvm --cells 50 --tend 1e-13
+# output times that fall inside a Taylor stage, evaluated by its polynomial
+run solve-ex3-fvm-times solve --case ex3 --method fvm --cells 300 --times 0.05,0.5
 run eoc-ex1-fvm eoc --case ex1 --method fvm
 run eoc-ex1-fvm-cells eoc --case ex1 --method fvm --cell-list 60,120,240
 run eoc-ex1-ahpm eoc --case ex1 --method ahpm
