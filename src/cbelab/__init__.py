@@ -69,7 +69,6 @@ from .series import (
     oracle_table,
     oracle_terms,
     residual,
-    taylor_term,
     truncated_sum,
 )
 

@@ -96,7 +96,7 @@ def _broadcast_call(fn: Callable[..., np.ndarray], *args) -> np.ndarray:
     return out
 
 
-def _rates(kernel: KernelSpec, x, y) -> np.ndarray:
+def _kernel_rates(kernel: KernelSpec, x, y) -> np.ndarray:
     """``K(x, y)`` over the broadcast shape of ``x`` and ``y``: the one reader of a formula."""
     if isinstance(kernel, ConstantKernel):
         return _broadcast_call(lambda x, y: kernel.rate, x, y)
@@ -110,13 +110,13 @@ def kernel_eval(kernel: KernelSpec, x: float, y: float) -> float:
     """Collision rate between particle sizes ``x`` and ``y``."""
     if not (x > 0 and y > 0):
         raise DomainError(f"kernel arguments must be positive, got ({x}, {y})")
-    return float(_rates(kernel, x, y))
+    return float(_kernel_rates(kernel, x, y))
 
 
 def kernel_matrix(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rate table ``K[i, j] = K(x[i], y[j])`` from one call on ``x[:, None]``, ``y[None, :]``."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return _rates(kernel, x[:, None], y[None, :])
+    return _kernel_rates(kernel, x[:, None], y[None, :])
 
 
 def kernel_factors(

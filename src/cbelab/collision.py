@@ -155,7 +155,7 @@ class CollisionOperator:
     def __init__(self, weights: FragWeights, kernel) -> None:
         self.weights = weights
         mid, sites = weights.grid.midpoints, weights.sites
-        # one factorisation at [sites; midpoints], so birth and death share B
+        # one factorisation at [sites; midpoints], so the passes at the sites and at the midpoints share B
         rows = mid if sites is mid else np.concatenate([sites, mid])
         at, b = kernel_factors(kernel, rows, mid)
         self._at_sites, self._at_mid = at[:, : sites.size], at[:, -mid.size :]
@@ -165,16 +165,6 @@ class CollisionOperator:
         """``sum_l B_k(m_l) w_l h_l``, rank ``k`` on a new last axis: a numpy sum, not BLAS, so
         a row's doubles do not depend on the row count of ``h`` or on the thread count."""
         return np.sum(h[..., None, :] * self._bw, axis=-1)
-
-    def _rates(self, h: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """Collision rates against the partner ``h`` at the sizes of the factor ``at``."""
-        return np.dot(self._sigma(h), at)
-
-    def birth(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return self.weights(self.weights.sample(g) * self._rates(h, self._at_sites))
-
-    def death(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return g * self._rates(h, self._at_mid)
 
     def parent_pass(self, p: np.ndarray) -> tuple[np.ndarray, ...]:
         """Half of ``collide``, per rank ``k``: the birth map of ``p A_k`` minus ``p A_k``."""
@@ -211,13 +201,6 @@ class CollisionOperator:
                         conv += p * sigma
                 rows[m + 1] = conv * (1.0 / (m + 1))
         return rows, tuple(passes), tuple(rates)
-
-    def rhs(self, f: np.ndarray) -> np.ndarray:
-        """Time derivative ``gain - loss`` of the state ``f``."""
-        weights, rate = self.weights, self._rates(f, self._at_mid)
-        # at midpoint sites birth and death share one rate
-        site_rate = rate if weights.sites is weights.grid.midpoints else self._rates(f, self._at_sites)
-        return weights(weights.sample(f) * site_rate) - f * rate
 
 
 def fragment_shares(grid: Grid, breakage) -> np.ndarray:

@@ -23,7 +23,6 @@ from .collision import CollisionOperator, _poly_eval, birth_map
 from .errors import (
     DomainError,
     GridMismatchError,
-    NoExactReferenceError,
     NoOracleError,
     NumericalError,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "optimize_alpha",
     "oracle_terms",
     "oracle_table",
-    "taylor_term",
 ]
 
 # --------------------------------------------------------------------------
@@ -77,11 +75,6 @@ class TimePoly:
     @property
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
-
-    def coefficient(self, k: int) -> GridFunction:
-        if not 0 <= k <= self.degree:
-            raise DomainError(f"no coefficient of order {k}")
-        return GridFunction(self.grid, self.coeffs[k])
 
     def eval(self, t: float) -> GridFunction:
         return GridFunction(self.grid, _checked(_poly_eval(self.coeffs, t), f"polynomial at t={t:g}"))
@@ -480,34 +473,4 @@ def oracle_terms(
     coeffs = np.zeros((max(terms[m]) + 1, grid.cells))
     for power, fn in terms[m].items():
         coeffs[power] = fn(grid.midpoints, alpha)
-    return TimePoly(grid, coeffs)
-
-
-def taylor_term(case_id: str, m: int, grid: Grid) -> TimePoly:
-    """``m``-th time-Taylor term of the ex1 closed-form solution.
-
-    Only ex1 has a closed-form concentration; its Taylor coefficients in time
-    are polynomials times the initial exponential.
-    """
-    if case_id != "ex1":
-        raise NoExactReferenceError(f"case {case_id!r} has no closed-form expansion")
-    if m < 0:
-        raise DomainError("term order must be non-negative")
-    x = grid.midpoints
-    decay = np.exp(-x)
-    if m == 0:
-        values = decay
-    elif m == 1:
-        values = (2.0 - x) * decay
-    else:
-        sign = -1.0 if m % 2 else 1.0
-        values = (
-            sign
-            / math.factorial(m)
-            * x ** (m - 2)
-            * (x**2 - 2 * m * x + m * (m - 1))
-            * decay
-        )
-    coeffs = np.zeros((m + 1, grid.cells))
-    coeffs[m] = values
     return TimePoly(grid, coeffs)

@@ -8,11 +8,12 @@ changes no outcome.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from cbelab import registry_case
+from cbelab import DomainError, NoExactReferenceError, TimePoly, registry_case
 
 # the published criteria this implementation misses by design (README, "Acceptance status")
 BY_DESIGN = (
@@ -97,3 +98,38 @@ def ex2():
 @pytest.fixture
 def ex3():
     return registry_case("ex3")
+
+
+def _taylor_term(case_id, m, grid):
+    """``m``-th time-Taylor term of the ex1 closed-form solution.
+
+    Only ex1 has a closed-form concentration; its Taylor coefficients in time
+    are polynomials times the initial exponential.
+    """
+    if case_id != "ex1":
+        raise NoExactReferenceError(f"case {case_id!r} has no closed-form expansion")
+    if m < 0:
+        raise DomainError("term order must be non-negative")
+    x = grid.midpoints
+    decay = np.exp(-x)
+    if m == 0:
+        values = decay
+    elif m == 1:
+        values = (2.0 - x) * decay
+    else:
+        sign = -1.0 if m % 2 else 1.0
+        values = (
+            sign
+            / math.factorial(m)
+            * x ** (m - 2)
+            * (x**2 - 2 * m * x + m * (m - 1))
+            * decay
+        )
+    coeffs = np.zeros((m + 1, grid.cells))
+    coeffs[m] = values
+    return TimePoly(grid, coeffs)
+
+
+@pytest.fixture
+def taylor_term():
+    return _taylor_term

@@ -572,6 +572,17 @@ class TestValidateCommand:
         assert "[FAIL] oracle-equivalence" in out.out
         assert "validation failed: oracle-equivalence" in out.err
 
+    def test_validate_catches_perturbed_cell_rule(self, monkeypatch, capsys):
+        # the cell rule is the finite volumes' birth map for discrete fragments (ex3)
+        from cbelab.collision import _CellWeights
+
+        exact = _CellWeights.__call__
+        monkeypatch.setattr(_CellWeights, "__call__", lambda self, c: 1.001 * exact(self, c))
+        assert main(["validate"]) == 1
+        out = capsys.readouterr()
+        assert "[FAIL] rhs-brute-force" in out.out
+        assert "validation failed: rhs-brute-force" in out.err
+
 
 _ENTRIES = st.one_of(
     st.none(),

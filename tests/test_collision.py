@@ -66,6 +66,11 @@ def _custom_kernel(kernel_id, grid):
     return CustomKernel(fn)
 
 
+def _collide_rows(operator, g, h):
+    """Gain minus loss of one parent row ``g`` against one partner row ``h``."""
+    return operator.collide(g[None], h[None])[0]
+
+
 def _grid(rmax, cells, scheme):
     return build_grid(rmax, cells, scheme, eps_min=1e-3 if scheme == "geometric" else None)
 
@@ -81,9 +86,9 @@ def test_fvm_and_series_share_the_mass_uniform_operator(case_id, scheme):
     case = registry_case(case_id)
     grid = _grid(case.rmax, 200, scheme)
     f = project_initial(case.init, grid).values
-    fvm = CollisionOperator(precompute_weights(grid, case.breakage), case.kernel).rhs(f)
+    fvm = _collide_rows(CollisionOperator(precompute_weights(grid, case.breakage), case.kernel), f, f)
     op = CollisionOperator(birth_map(grid, case.breakage, interpolated=True), case.kernel)
-    series = op.birth(f, f) - op.death(f, f)
+    series = _collide_rows(op, f, f)
     assert np.max(np.abs(fvm - series)) <= 1e-13 * np.max(np.abs(fvm))
 
 
@@ -95,9 +100,8 @@ def test_first_taylor_row_is_the_rhs(case_id, scheme):
     grid = _grid(case.rmax, 300, scheme)
     operator = CollisionOperator(precompute_weights(grid, case.breakage), case.kernel)
     f0 = project_initial(case.init, grid).values
-    rhs = operator.rhs(f0)
     row = operator.taylor_rows(f0, 3)[0][1]
-    assert np.max(np.abs(row - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+    assert row.tobytes() == _collide_rows(operator, f0, f0).tobytes()
 
 
 @pytest.mark.parametrize("law", LAWS, ids=["mass-uniform", "fragments"])
@@ -109,9 +113,8 @@ def test_dense_custom_kernel_matches_rank_one_product_kernel(law, rng):
     fvm = [CollisionOperator(precompute_weights(grid, law), k) for k in (rank_one, dense)]
     series = [CollisionOperator(birth_map(grid, law, interpolated=True), k) for k in (rank_one, dense)]
     pairs = [
-        (fvm[0].rhs(f), fvm[1].rhs(f)),
-        (series[0].birth(f, h), series[1].birth(f, h)),
-        (series[0].death(f, h), series[1].death(f, h)),
+        (_collide_rows(fvm[0], f, f), _collide_rows(fvm[1], f, f)),
+        (_collide_rows(series[0], f, h), _collide_rows(series[1], f, h)),
     ]
     for fast, slow in pairs:
         scale = np.max(np.abs(fast))
@@ -146,7 +149,7 @@ def test_non_separable_custom_kernel_matches_brute_force(law, kernel_id, rng):
     kernel = _custom_kernel(kernel_id, grid)
     weights = precompute_weights(grid, law)
     f = rng.uniform(0.0, 1.0, grid.cells)
-    fast = CollisionOperator(weights, kernel).rhs(f)
+    fast = CollisionOperator(weights, kernel).taylor_rows(f, 1)[0][1]
     slow = brute_force_rhs(grid, law, kernel, f)
     assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -177,9 +180,8 @@ def test_factored_custom_kernel_matches_dense_table(law, kernel_id, rng):
     birth, death = dense_rhs(series, f, h)
     series_op = CollisionOperator(series, kernel)
     pairs = [
-        (CollisionOperator(fvm_weights, kernel).rhs(f), cell_birth - cell_death),
-        (series_op.birth(f, h), birth),
-        (series_op.death(f, h), death),
+        (_collide_rows(CollisionOperator(fvm_weights, kernel), f, f), cell_birth - cell_death),
+        (_collide_rows(series_op, f, h), birth - death),
         (series_op.collide(p, q), dense_collide(series, p, q)),
     ]
     for fast, ref in pairs:
@@ -216,16 +218,6 @@ def test_partner_rates_do_not_depend_on_the_row_count(case_id, cells, rng):
         padded[j] = row[0]
         for alone, inside in zip(op.partner_rates(row), op.partner_rates(padded)):
             assert alone.tobytes() == inside[j:].tobytes(), j
-
-
-@pytest.mark.parametrize("interpolated", [False, True], ids=["cell-rule", "interpolated"])
-@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
-def test_rhs_is_birth_minus_death_bit_for_bit(law, interpolated, rng):
-    # rhs reads the rate once when the birth sites are the midpoints
-    grid = build_grid(6.0, 60)
-    op = CollisionOperator(birth_map(grid, law, interpolated), CustomKernel(lambda x, y: x + y))
-    f = rng.uniform(0.0, 1.0, grid.cells)
-    assert op.rhs(f).tobytes() == (op.birth(f, f) - op.death(f, f)).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -99,25 +99,32 @@ class TestRhs:
     def test_zero_state(self, ex1):
         grid = build_grid(5.0, 12)
         weights = precompute_weights(grid, ex1.breakage)
-        out = CollisionOperator(weights, ex1.kernel).rhs(np.zeros(12))
+        out = CollisionOperator(weights, ex1.kernel).taylor_rows(np.zeros(12), 1)[0][1]
         assert np.all(out == 0.0)
 
     def test_three_cell_hand_grid(self, ex1):
         grid = build_grid(3.0, 3)
         weights = precompute_weights(grid, ex1.breakage)
         f = np.array([0.7, 0.4, 0.1])
-        fast = CollisionOperator(weights, ex1.kernel).rhs(f)
+        fast = CollisionOperator(weights, ex1.kernel).taylor_rows(f, 1)[0][1]
         slow = brute_force_rhs(grid, ex1.breakage, ex1.kernel, f)
         assert fast == pytest.approx(slow, abs=1e-12)
 
-    @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
-    @pytest.mark.parametrize("cells", [5, 20])
-    def test_matches_brute_force(self, case_id, cells, rng):
+    @pytest.mark.parametrize(
+        "scheme, cells, case_id",
+        [
+            pytest.param(scheme, cells, case_id, id=f"{prefix}{cells}-{case_id}")
+            for scheme, prefix in (("uniform", ""), ("geometric", "geometric-"))
+            for cells in (5, 20)
+            for case_id in ("ex1", "ex2", "ex3")
+        ],
+    )
+    def test_matches_brute_force(self, scheme, cells, case_id, rng):
         case = registry_case(case_id)
-        grid = build_grid(case.rmax, cells)
+        grid = build_grid(case.rmax, cells, scheme, 1e-3 if scheme == "geometric" else None)
         weights = precompute_weights(grid, case.breakage)
         f = rng.uniform(0.0, 1.0, cells)
-        fast = CollisionOperator(weights, case.kernel).rhs(f)
+        fast = CollisionOperator(weights, case.kernel).taylor_rows(f, 1)[0][1]
         slow = brute_force_rhs(grid, case.breakage, case.kernel, f)
         assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -155,7 +162,8 @@ class TestIntegrate:
         operator = CollisionOperator(precompute_weights(grid, ex1.breakage), ex1.kernel)
         y0 = project_initial(ex1.init, grid).values
         reference = solve_ivp(
-            lambda t, y: operator.rhs(y), (0.0, 1.0), y0, method="DOP853", rtol=1e-12, atol=1e-14
+            lambda t, y: operator.collide(y[None], y[None])[0], (0.0, 1.0), y0,
+            method="DOP853", rtol=1e-12, atol=1e-14,
         )
         assert adaptive.snapshots[-1].values == pytest.approx(reference.y[:, -1], abs=1e-8)
 
@@ -291,7 +299,7 @@ def test_stages_match_tight_dop853(case_id, scheme, cells):
     operator = CollisionOperator(precompute_weights(grid, case.breakage), case.kernel)
     y0 = project_initial(case.init, grid).values
     reference = solve_ivp(
-        lambda t, y: operator.rhs(y), (0.0, case.tend), y0, method="DOP853",
+        lambda t, y: operator.collide(y[None], y[None])[0], (0.0, case.tend), y0, method="DOP853",
         t_eval=times, rtol=1e-13, atol=1e-15,
     )
     solution = integrate(case, grid, times)
