@@ -174,33 +174,28 @@ class CollisionOperator:
 
     def partner_rates(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
         """The other half, per rank ``k``: the scalar ``sigma_k`` of each time row of ``q``."""
-        return tuple(sigma[:, None] for sigma in self._sigma(q).T)
-
-    @staticmethod
-    def product(passes: tuple, rates: tuple) -> np.ndarray:
-        """``collide`` from its halves; the sum starts from its first term to keep -0.0."""
-        return reduce(np.add, map(cauchy_product, passes, rates))
+        return tuple(sigma[..., None] for sigma in np.moveaxis(self._sigma(q), -1, 0))
 
     def collide(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Time coefficients of gain minus loss for parents ``p`` and partners ``q``."""
-        return self.product(self.parent_pass(p), self.partner_rates(q))
+        """Time coefficients of gain minus loss for parents ``p`` and partners ``q``; axes other
+        than time and cells broadcast.  The sum starts from its first term to keep -0.0."""
+        return reduce(np.add, map(cauchy_product, self.parent_pass(p), self.partner_rates(q)))
 
-    def taylor_rows(self, f0: np.ndarray, order: int) -> tuple[np.ndarray, tuple, tuple]:
-        """Time-Taylor rows ``c_0 = f0 .. c_order`` of ``df/dt = collide(f, f)``, stacked, each
-        with its parent pass and partner rates: ``c_{m+1} = sum_k collide(c_k, c_{m-k}) / (m + 1)``,
-        one row of power ``m + 1`` accumulated in place, so each birth pass is taken once."""
+    def taylor_rows(self, f0: np.ndarray, order: int) -> np.ndarray:
+        """Time-Taylor rows ``c_0 = f0 .. c_order`` of ``df/dt = collide(f, f)``, stacked:
+        ``c_{m+1} = sum_k collide(c_k, c_{m-k}) / (m + 1)``, one row of power ``m + 1``
+        accumulated in place, so each birth pass is taken once and the last row's never."""
         rows, passes, rates = np.zeros((order + 1, f0.size)), [], []
         rows[0] = f0
-        for m in range(order + 1):
+        for m in range(order):
             passes.append(self.parent_pass(rows[m : m + 1]))
             rates.append(self.partner_rates(rows[m : m + 1]))
-            if m < order:
-                conv = np.zeros((1, f0.size))
-                for k in range(m + 1):
-                    for p, sigma in zip(passes[k], rates[m - k]):
-                        conv += p * sigma
-                rows[m + 1] = conv * (1.0 / (m + 1))
-        return rows, tuple(passes), tuple(rates)
+            conv = np.zeros((1, f0.size))
+            for k in range(m + 1):
+                for p, sigma in zip(passes[k], rates[m - k]):
+                    conv += p * sigma
+            rows[m + 1] = conv * (1.0 / (m + 1))
+        return rows
 
 
 def fragment_shares(grid: Grid, breakage) -> np.ndarray:

@@ -65,7 +65,7 @@ def _taylor_stages(operator, y0: np.ndarray, out_times: np.ndarray) -> tuple[lis
     while t < t_end:
         # overflow and its NaNs are caught below as non-finite rows or states
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows = operator.taylor_rows(y, _ORDER)[0]
+            rows = operator.taylor_rows(y, _ORDER)
             if not np.all(np.isfinite(rows)):
                 raise DivergenceError(f"non-finite Taylor rows at t={t:.6g}")
             e1, e2 = (_rms(row / (_ATOL + _RTOL * np.abs(y))) for row in rows[-2:])

@@ -104,7 +104,6 @@ def _checked(values: np.ndarray, what: str) -> np.ndarray:
 # series construction
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
 def _collision_ops(grid: Grid, kernel, breakage) -> CollisionOperator:
     return CollisionOperator(birth_map(grid, breakage, interpolated=True), kernel)
 
@@ -140,17 +139,16 @@ def _check_alpha(alpha: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _hpm_build(grid: Grid, kernel, breakage, init, order: int) -> tuple[np.ndarray, tuple, tuple]:
+def _hpm_build(grid: Grid, kernel, breakage, init, order: int) -> np.ndarray:
     """The alpha = -1 (plain HPM) terms ``g_j = c_j t**j``: the ``taylor_rows`` of the
-    interpolated-rule operator from the projected initial condition, with their parent
-    passes and partner rates.  The one entry kept serves an alpha search and the series
-    it picks."""
+    interpolated-rule operator from the projected initial condition.  The one entry kept
+    serves an alpha search and the series it picks."""
     ops = _collision_ops(grid, kernel, breakage)
-    build = ops.taylor_rows(project_initial(init, grid).values, order)
+    rows = ops.taylor_rows(project_initial(init, grid).values, order)
     # the first non-finite row names the failing term; row 0 (the projection) is finite
-    first = int(np.argmin(np.all(np.isfinite(build[0]), axis=1)))
-    _checked(build[0][first], f"ham term {first}")
-    return build
+    first = int(np.argmin(np.all(np.isfinite(rows), axis=1)))
+    _checked(rows[first], f"ham term {first}")
+    return rows
 
 
 def _ham_mixing(order: int, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +176,7 @@ def ham_terms(case: CaseSpec, grid: Grid, order: int, alpha: float) -> SeriesSol
     alpha = _check_alpha(alpha)
     if order < 0:
         raise DomainError("order must be non-negative")
-    rows = _hpm_build(grid, case.kernel, case.breakage, case.init, order)[0]
+    rows = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
     binomial, power = _ham_mixing(order, alpha)
     terms = tuple(
         TimePoly(grid, _checked(mix[: m + 1, None] * rows[: m + 1], f"ham term {m}"))
@@ -292,20 +290,19 @@ def _at_nodes(coeffs: np.ndarray, xp: np.ndarray, nodes: tuple[np.ndarray, np.nd
 
 def _alpha_table(case: CaseSpec, grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray]:
     """``A_j`` (``j >= 1``) and ``B_ij`` of ``_alpha_objective`` on the cells ``np.interp`` reads:
-    the monomials ``c_j t**j`` and ``(pass_i rates_j) t**(i+j+1) / (i+j+1)``, each in its row of a
-    zero array, so Horner's rule gives ``v t ... t``, the doubles of zero-padded terms."""
+    the monomials ``c_j t**j`` and ``collide(c_i, c_j) t**(i+j+1) / (i+j+1)``, each in its row of
+    a zero array, so Horner's rule gives ``v t ... t``, the doubles of zero-padded terms."""
     nodes = _collocation(case, order)
     cells = _read_cells(grid, nodes[1])
     xp = grid.midpoints[cells]
-    rows, passes, rates = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
+    rows = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
     n = order + 1
-    # axes (time row, i, j, cell): one product of every parent pass with every partner's rates
-    parents = tuple(np.stack(rank, axis=1)[:, :, None, cells] for rank in zip(*passes))
-    partners = tuple(np.stack(rank, axis=1)[:, None] for rank in zip(*rates))
     i, j = np.indices((n, n))
     quadratic, linear = np.zeros((2 * n, n, n, cells.size)), np.zeros((n, order, cells.size))
-    product = CollisionOperator.product(parents, partners)[0]
-    quadratic[i + j + 1, i, j] = product * (1.0 / (i + j + 1))[..., None]
+    # axes (i, j, cell): one collide of every row with every row, parents on i and partners on j
+    ops = _collision_ops(grid, case.kernel, case.breakage)
+    pairs = ops.collide(rows[None, :, None], rows[None, None, :])[0][..., cells]
+    quadratic[i + j + 1, i, j] = pairs * (1.0 / (i + j + 1))[..., None]
     linear[np.arange(1, n), np.arange(order)] = rows[1:, cells]
     linear = _at_nodes(linear, xp, nodes).transpose(1, 0, 2)
     quadratic = _at_nodes(quadratic, xp, nodes).transpose(1, 2, 0, 3)

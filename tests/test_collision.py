@@ -1,7 +1,9 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -100,7 +102,7 @@ def test_first_taylor_row_is_the_rhs(case_id, scheme):
     grid = _grid(case.rmax, 300, scheme)
     operator = CollisionOperator(precompute_weights(grid, case.breakage), case.kernel)
     f0 = project_initial(case.init, grid).values
-    row = operator.taylor_rows(f0, 3)[0][1]
+    row = operator.taylor_rows(f0, 3)[1]
     assert row.tobytes() == _collide_rows(operator, f0, f0).tobytes()
 
 
@@ -149,7 +151,7 @@ def test_non_separable_custom_kernel_matches_brute_force(law, kernel_id, rng):
     kernel = _custom_kernel(kernel_id, grid)
     weights = precompute_weights(grid, law)
     f = rng.uniform(0.0, 1.0, grid.cells)
-    fast = CollisionOperator(weights, kernel).taylor_rows(f, 1)[0][1]
+    fast = CollisionOperator(weights, kernel).taylor_rows(f, 1)[1]
     slow = brute_force_rhs(grid, law, kernel, f)
     assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -199,7 +201,28 @@ def test_collide_is_a_parent_pass_times_partner_rates(law, kernel_id, rng):
     passes = op.parent_pass(p)
     for rows in (1, 2, 4):
         q = rng.uniform(0.0, 1.0, (rows, grid.cells))
-        assert CollisionOperator.product(passes, op.partner_rates(q)).tobytes() == op.collide(p, q).tobytes()
+        combined = reduce(np.add, map(cauchy_product, passes, op.partner_rates(q)))
+        assert combined.tobytes() == op.collide(p, q).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kernel_id, rank", [("product", 1), ("sum", 2), ("brownian", 3)], ids=["product", "sum", "brownian"]
+)
+@pytest.mark.parametrize("interpolated", [False, True], ids=["cell", "interpolated"])
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_collide_broadcasts_over_stacked_pairs(law, interpolated, kernel_id, rank, rng):
+    # the alpha table collides every parent row with every partner row in one
+    # call; each pair must hold the doubles of its own collide
+    grid = build_grid(6.0, 60)
+    kernel = ProductKernel(1.0) if kernel_id == "product" else _custom_kernel(kernel_id, grid)
+    op = CollisionOperator(birth_map(grid, law, interpolated=interpolated), kernel)
+    p = rng.uniform(0.0, 1.0, (3, 4, grid.cells))  # axes (time row, pair, cell)
+    q = rng.uniform(0.0, 1.0, (2, 5, grid.cells))
+    assert len(op.partner_rates(q)) == rank
+    stacked = op.collide(p[:, :, None], q[:, None, :])
+    assert stacked.shape == (4, 4, 5, grid.cells)
+    for i, j in itertools.product(range(4), range(5)):
+        assert stacked[:, i, j].tobytes() == op.collide(p[:, i], q[:, j]).tobytes(), (i, j)
 
 
 @pytest.mark.parametrize("cells", [40, 300, 4000])

@@ -341,7 +341,7 @@ class TestHamAlphaStructure:
         for scheme, cells, order in itertools.product(("uniform", "geometric"), (2, 3, 7, 120), (1, 3, 5, 7)):
             case, grid = table_case_grid(case_id, scheme, cells)
             linear, quadratic = _alpha_table(case, grid, order)
-            rows = _hpm_build(grid, case.kernel, case.breakage, case.init, order)[0]
+            rows = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
             hpm = [monomial(row, j) for j, row in enumerate(rows)]
             ops, nodes = series_operator(case, grid), _collocation(case, order)
             expected = np.array(
@@ -358,7 +358,7 @@ class TestHamAlphaStructure:
         from cbelab.series import _hpm_build
 
         case, grid = case_grid(case_id, "uniform", 300)
-        rows = _hpm_build(grid, case.kernel, case.breakage, case.init, 7)[0]
+        rows = _hpm_build(grid, case.kernel, case.breakage, case.init, 7)
         for j, term in enumerate(alpha_recursion(case, grid, 7, -1.0)):
             assert term.shape == (j + 1, grid.cells)
             assert rows[j].tobytes() == term[j].tobytes(), j
@@ -368,17 +368,15 @@ class TestHamAlphaStructure:
     @pytest.mark.parametrize("order", [0, 3, 7])
     def test_hpm_build_is_the_shared_taylor_recursion(self, case_id, order):
         # the series and the FVM step by one recursion: the build is the taylor_rows of the
-        # interpolated-rule operator from the projection, its passes and rates included
+        # interpolated-rule operator from the projection
         from cbelab.series import _hpm_build
 
         case, grid = case_grid(case_id, "uniform", 300)
         built = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
         ops = CollisionOperator(birth_map(grid, case.breakage, interpolated=True), case.kernel)
         expected = ops.taylor_rows(project_initial(case.init, grid).values, order)
-        assert built[0].shape == (order + 1, grid.cells)
-        assert built[0].tobytes() == expected[0].tobytes()
-        for got, want in zip(built[1:], expected[1:]):
-            assert [a.tobytes() for row in got for a in row] == [a.tobytes() for row in want for a in row]
+        assert built.shape == (order + 1, grid.cells)
+        assert built.tobytes() == expected.tobytes()
 
     def test_one_build_serves_every_alpha(self, ex1):
         from cbelab.series import _hpm_build
@@ -634,28 +632,29 @@ class TestOptimizeAlpha:
     def test_alpha_search_runs_one_alpha_free_build(self, ex1, monkeypatch):
         from cbelab.series import _hpm_build
 
-        passes, products = [], []
-        parent_pass, product = CollisionOperator.parent_pass, CollisionOperator.product
+        passes, collides = [], []
+        parent_pass, collide = CollisionOperator.parent_pass, CollisionOperator.collide
 
         def counted_pass(self, p):
             passes.append(p.shape)
             return parent_pass(self, p)
 
-        def counted_product(*args):
-            products.append(args)
-            return product(*args)
+        def counted_collide(self, p, q):
+            collides.append((p.shape, q.shape))
+            return collide(self, p, q)
 
         monkeypatch.setattr(CollisionOperator, "parent_pass", counted_pass)
-        monkeypatch.setattr(CollisionOperator, "product", staticmethod(counted_product))
+        monkeypatch.setattr(CollisionOperator, "collide", counted_collide)
         _hpm_build.cache_clear()
         grid = build_grid(ex1.rmax, 300)
         ham_terms(ex1, grid, 5, optimize_alpha(ex1, grid, 5).alpha)
         assert _hpm_build.cache_info().misses == 1
-        # one pass per HPM term and one per residual of the 3 candidates; the
-        # terms sum their 15 one-row products in place in taylor_rows, one
-        # stacked product fills the alpha table's 36 pairs and 3 serve the residuals
-        assert len(passes) == 6 + 3
-        assert len(products) == 1 + 3
+        # one pass per HPM term but the last, one batched pass for the alpha
+        # table and one per residual of the 3 candidates; the terms sum their 15
+        # one-row products in place in taylor_rows, one stacked collide fills the
+        # alpha table's 36 pairs and 3 serve the residuals
+        assert len(passes) == 5 + 1 + 3
+        assert len(collides) == 1 + 3
 
     @pytest.mark.parametrize(
         "cells, order, alpha_star",

@@ -67,6 +67,9 @@ run optimize-alpha-ex2 optimize-alpha --case ex2 --order 5 --cells 200
 # alpha-table edge grids: every cell read, two cells, and an order-7 geometric grid
 run optimize-alpha-ex3-order7-cells7 optimize-alpha --case ex3 --order 7 --cells 7
 run optimize-alpha-ex1-order1-cells2 optimize-alpha --case ex1 --order 1 --cells 2
+# alpha search on a geometric grid where the interpolated rule's sites pass R
+run optimize-alpha-ex3-geometric optimize-alpha --case ex3 --order 5 --cells 60 --grid-scheme geometric \
+    --eps-min 1e-3
 # interpolated-sampler edges: the sites m/0.4 and m/0.6 fall both inside and past R
 run solve-ex3-ahpm-order3-cells2 solve --case ex3 --method ahpm --order 3 --cells 2
 run solve-ex3-ahpm-order3-cells3 solve --case ex3 --method ahpm --order 3 --cells 3
