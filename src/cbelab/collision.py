@@ -9,7 +9,9 @@ map (``FragWeights``).
 Every kernel is applied in factored form, ``K(x, y) = sum_k A_k(x) B_k(y)``
 (``cases.kernel_factors``), so ``s = sum_k A_k (B_k . h w)`` costs O(rN) per
 application and every birth map O(N).  The shipped kernels have rank r = 1; a
-``CustomKernel`` gets the rank its adaptive cross approximation needs.
+``CustomKernel`` gets the rank its adaptive cross approximation needs.  The rank
+is an array axis just before the cells: a parent pass is ``(..., r, cells)``, the
+partner rates ``(..., r, 1)``, and ``collide`` sums their products over it.
 
 ``CollisionOperator.taylor_rows`` is the equation's time-Taylor recursion: the
 finite volumes step by it and the homotopy series are built from it.
@@ -27,8 +29,6 @@ Birth maps:
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -147,9 +147,10 @@ def birth_map(grid: Grid, breakage, interpolated: bool = False) -> FragWeights:
 
 
 class CollisionOperator:
-    """Gain and loss of the collision-breakage equation for one birth map and
-    one kernel.  Arrays carry cells on the last axis; ``collide`` takes time
-    coefficient arrays with one row per power of t.
+    """Gain and loss of the collision-breakage equation for one birth map and one
+    kernel.  Arrays carry cells on the last axis; ``collide`` takes time rows first
+    and sums over the rank axis of ``parent_pass`` ``(..., r, cells)`` times
+    ``partner_rates`` ``(..., r, 1)``.
     """
 
     def __init__(self, weights: FragWeights, kernel) -> None:
@@ -161,25 +162,22 @@ class CollisionOperator:
         self._at_sites, self._at_mid = at[:, : sites.size], at[:, -mid.size :]
         self._bw = b * weights.grid.widths
 
-    def _sigma(self, h: np.ndarray) -> np.ndarray:
-        """``sum_l B_k(m_l) w_l h_l``, rank ``k`` on a new last axis: a numpy sum, not BLAS, so
-        a row's doubles do not depend on the row count of ``h`` or on the thread count."""
-        return np.sum(h[..., None, :] * self._bw, axis=-1)
+    def parent_pass(self, p: np.ndarray) -> np.ndarray:
+        """Half of ``collide``: the birth map of ``p A_k`` minus ``p A_k``, rank ``k`` on a new
+        axis before the cells, so a ``(..., cells)`` array gives ``(..., r, cells)``."""
+        weights = self.weights
+        birth = weights(weights.sample(p)[..., None, :] * self._at_sites)
+        return birth - p[..., None, :] * self._at_mid
 
-    def parent_pass(self, p: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Half of ``collide``, per rank ``k``: the birth map of ``p A_k`` minus ``p A_k``."""
-        weights, sampled = self.weights, self.weights.sample(p)
-        factors = zip(self._at_sites, self._at_mid)
-        return tuple(weights(sampled * at) - p * at_mid for at, at_mid in factors)
-
-    def partner_rates(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The other half, per rank ``k``: the scalar ``sigma_k`` of each time row of ``q``."""
-        return tuple(sigma[..., None] for sigma in np.moveaxis(self._sigma(q), -1, 0))
+    def partner_rates(self, q: np.ndarray) -> np.ndarray:
+        """The other half: ``sigma_k = sum_l B_k(m_l) w_l q_l`` per time row, ``(..., r, 1)``; a
+        numpy sum, not BLAS, so a row's doubles depend on neither row nor thread count."""
+        return np.sum(q[..., None, :] * self._bw, axis=-1)[..., None]
 
     def collide(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Time coefficients of gain minus loss for parents ``p`` and partners ``q``; axes other
-        than time and cells broadcast.  The sum starts from its first term to keep -0.0."""
-        return reduce(np.add, map(cauchy_product, self.parent_pass(p), self.partner_rates(q)))
+        than time and cells broadcast.  The ranks sum in order, first to last."""
+        return np.add.reduce(cauchy_product(self.parent_pass(p), self.partner_rates(q)), axis=-2)
 
     def taylor_rows(self, f0: np.ndarray, order: int) -> np.ndarray:
         """Time-Taylor rows ``c_0 = f0 .. c_order`` of ``df/dt = collide(f, f)``, stacked:
@@ -188,9 +186,9 @@ class CollisionOperator:
         rows, passes, rates = np.zeros((order + 1, f0.size)), [], []
         rows[0] = f0
         for m in range(order):
-            passes.append(self.parent_pass(rows[m : m + 1]))
-            rates.append(self.partner_rates(rows[m : m + 1]))
-            conv = np.zeros((1, f0.size))
+            passes.append(self.parent_pass(rows[m]))
+            rates.append(self.partner_rates(rows[m]))
+            conv = np.zeros(f0.size)
             for k in range(m + 1):
                 for p, sigma in zip(passes[k], rates[m - k]):
                     conv += p * sigma

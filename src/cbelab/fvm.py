@@ -36,7 +36,7 @@ _RTOL = 1e-6
 @dataclass(frozen=True, eq=False)
 class FvmSolution:
     """Time-stamped concentration snapshots plus the stepper's work counts: Taylor
-    stages, and operator applications (parent passes, ``_ORDER + 1`` per stage)."""
+    stages, and operator applications (parent passes, ``_ORDER`` per stage)."""
 
     case: CaseSpec
     grid: Grid
@@ -113,5 +113,5 @@ def integrate(case: CaseSpec, grid: Grid, times) -> FvmSolution:
         times=out_times.copy(),
         snapshots=tuple(GridFunction(grid, y) for y in raw),
         step_count=stages,
-        rhs_evaluations=(_ORDER + 1) * stages,
+        rhs_evaluations=_ORDER * stages,
     )

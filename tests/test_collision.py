@@ -201,8 +201,30 @@ def test_collide_is_a_parent_pass_times_partner_rates(law, kernel_id, rng):
     passes = op.parent_pass(p)
     for rows in (1, 2, 4):
         q = rng.uniform(0.0, 1.0, (rows, grid.cells))
-        combined = reduce(np.add, map(cauchy_product, passes, op.partner_rates(q)))
-        assert combined.tobytes() == op.collide(p, q).tobytes()
+        rates = op.partner_rates(q)
+        ranks = range(passes.shape[-2])
+        products = (cauchy_product(passes[..., k, :], rates[..., k, :]) for k in ranks)
+        assert reduce(np.add, products).tobytes() == op.collide(p, q).tobytes()
+
+
+@pytest.mark.parametrize("kernel_id, rank", [("sum", 2), ("brownian", 3), ("min", 60)])
+@pytest.mark.parametrize("interpolated", [False, True], ids=["cell", "interpolated"])
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_collide_sums_the_ranks_in_order(law, interpolated, kernel_id, rank, rng):
+    # the rank axis is summed first to last, the doubles of a rank-by-rank sum;
+    # np.minimum has full rank, long enough that a pairwise sum would round differently
+    grid = build_grid(6.0, 60)
+    kernel = CustomKernel(np.minimum) if kernel_id == "min" else _custom_kernel(kernel_id, grid)
+    op = CollisionOperator(birth_map(grid, law, interpolated=interpolated), kernel)
+    p = rng.uniform(-1.0, 1.0, (3, grid.cells))
+    p[:, ::7] = -0.0
+    q = rng.uniform(0.0, 1.0, (2, grid.cells))
+    passes, rates = op.parent_pass(p), op.partner_rates(q)
+    assert passes.shape == (3, rank, grid.cells) and rates.shape == (2, rank, 1)
+    by_rank = reduce(
+        np.add, (cauchy_product(passes[..., k, :], rates[..., k, :]) for k in range(rank))
+    )
+    assert op.collide(p, q).tobytes() == by_rank.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -218,7 +240,7 @@ def test_collide_broadcasts_over_stacked_pairs(law, interpolated, kernel_id, ran
     op = CollisionOperator(birth_map(grid, law, interpolated=interpolated), kernel)
     p = rng.uniform(0.0, 1.0, (3, 4, grid.cells))  # axes (time row, pair, cell)
     q = rng.uniform(0.0, 1.0, (2, 5, grid.cells))
-    assert len(op.partner_rates(q)) == rank
+    assert op.partner_rates(q).shape[-2] == rank
     stacked = op.collide(p[:, :, None], q[:, None, :])
     assert stacked.shape == (4, 4, 5, grid.cells)
     for i, j in itertools.product(range(4), range(5)):
@@ -228,19 +250,23 @@ def test_collide_broadcasts_over_stacked_pairs(law, interpolated, kernel_id, ran
 @pytest.mark.parametrize("cells", [40, 300, 4000])
 @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3", "ex1-rank2"])
 def test_partner_rates_do_not_depend_on_the_row_count(case_id, cells, rng):
-    # a row's rates are the same doubles alone and inside a zero-padded array,
-    # so a one-row Taylor term reads what its padded time polynomial would
+    # a row's rates are the same doubles alone, as the 1-D row taylor_rows
+    # passes, and inside a zero-padded array, so a one-row Taylor term reads
+    # what its padded time polynomial would
     case = registry_case(case_id.split("-")[0])
     kernel = CustomKernel(lambda x, y: x + y) if case_id.endswith("rank2") else case.kernel
     grid = build_grid(case.rmax, cells)
     op = CollisionOperator(birth_map(grid, case.breakage, interpolated=True), kernel)
     row = rng.uniform(0.0, 1.0, (1, cells))
-    assert len(op.partner_rates(row)) == (2 if case_id.endswith("rank2") else 1)
+    alone = op.partner_rates(row)
+    assert alone.shape[-2] == (2 if case_id.endswith("rank2") else 1)
+    assert op.partner_rates(row[0]).tobytes() == alone.tobytes()
     for j in (1, 3, 7):
         padded = np.zeros((j + 1, cells))
         padded[j] = row[0]
-        for alone, inside in zip(op.partner_rates(row), op.partner_rates(padded)):
-            assert alone.tobytes() == inside[j:].tobytes(), j
+        inside = op.partner_rates(padded)
+        for k in range(alone.shape[-2]):
+            assert alone[..., k, :].tobytes() == inside[j:, k, :].tobytes(), (j, k)
 
 
 @pytest.mark.parametrize(
