@@ -9,7 +9,6 @@ the only header line is a comment carrying the config hash.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -18,6 +17,16 @@ import time
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+
+# the interpreter's built-in SHA-256, as the stdlib's random.py takes its sha512:
+# hashlib maps OpenSSL's libcrypto (about 3.7 MB of peak RSS) for one digest a run
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -162,7 +171,7 @@ class RunConfig:
         # beside the config (``extra``); the output path is not one
         values = {k: v for k, v in asdict(self).items() if k != "outdir"} | extra
         canon = "\n".join(f"{key}={value}" for key, value in sorted(values.items()))
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+        return sha256(canon.encode()).hexdigest()[:12]
 
 
 _SETTINGS = {setting.name: setting for setting in fields(RunConfig)}

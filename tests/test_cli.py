@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -68,6 +69,26 @@ class TestConfig:
         b = RunConfig(case="ex1", cells=100)
         assert a.hash() == b.hash()
         assert a.hash() != RunConfig(case="ex1", cells=101).hash()
+
+    @pytest.mark.parametrize(
+        "config, extra",
+        [
+            (RunConfig(case="ex1"), {}),
+            (RunConfig(case="ex1", times=(0.0, 0.5, 1.0)), {}),
+            (RunConfig(case="ex1"), {"cell_list": (30, 60, 120, 240)}),
+        ],
+        ids=["default", "times", "cell-list"],
+    )
+    def test_hash_is_sha256_of_sorted_settings(self, config, extra):
+        # the `# config` digest: the first 12 hex digits of the SHA-256 of the
+        # sorted key=value lines, without outdir
+        values = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "outdir"}
+        lines = sorted(f"{key}={value}" for key, value in (values | extra).items())
+        expected = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+        assert config.hash(**extra) == expected
+
+    def test_hash_literal(self):
+        assert RunConfig(case="ex1").hash() == "023afe7c0869"
 
 
 class TestSolveCommand:
@@ -782,6 +803,25 @@ def test_import_pulls_in_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def _main_loads(tmp_path, argv: str, module: str) -> list[str]:
+    """Run ``main(argv)`` in a fresh interpreter, in which ``import cbelab.cli``
+    must not load ``module``; return the exit code and whether ``main`` loaded it."""
+    code = (
+        "import sys\n"
+        "from cbelab.cli import main\n"
+        f"assert {module!r} not in sys.modules\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(code, {module!r} in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cbelab.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv.split(), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    # optimize-alpha prints its result line first
+    return result.stdout.split()[-2:]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -794,16 +834,22 @@ def test_commands_import_no_numpy_ma(tmp_path, argv):
     # np.unique and a few other numpy functions import numpy.ma on their first
     # call, which costs a fresh process 15-38 ms on a 2-core x86-64 host: no
     # command may reach one
-    code = (
-        "import sys\n"
-        "from cbelab.cli import main\n"
-        "assert 'numpy.ma' not in sys.modules\n"
-        "code = main(sys.argv[1:])\n"
-        "print(code, 'numpy.ma' in sys.modules)"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(cbelab.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-c", code, *argv.split(), "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert result.stdout.split() == [str(EXIT_OK), "False"]
+    assert _main_loads(tmp_path, argv, "numpy.ma") == [str(EXIT_OK), "False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --case ex1 --method fvm --cells 40",
+        "solve --case ex1 --method ham --alpha auto --cells 40",
+        "reproduce fig1 --cells 40",
+        "eoc --case ex1 --method fvm --cell-list 10,20,40",
+        "optimize-alpha --case ex1 --cells 40",
+    ],
+)
+def test_commands_load_no_openssl(tmp_path, argv):
+    # `import hashlib` loads _hashlib, which maps OpenSSL's libcrypto (about
+    # 3.7 MB of peak RSS) for the one config digest a command takes.  validate
+    # is left out: its np.random.default_rng imports numpy.random, which
+    # imports secrets -> hmac -> _hashlib
+    assert _main_loads(tmp_path, argv, "_hashlib") == [str(EXIT_OK), "False"]
