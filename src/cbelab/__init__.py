@@ -16,11 +16,9 @@ from .cases import (
     MassUniformBreakage,
     ProductKernel,
     WeightedExponentialIC,
-    breakage_mass_residual,
     case_ids,
     exact_concentration,
     exact_moment,
-    fragment_count,
     kernel_eval,
     registry_case,
     with_overrides,
@@ -45,15 +43,12 @@ from .grid import (
     l1_norm,
     project_initial,
     quad_moment,
-    weighted_norm,
 )
 from .metrics import (
     MomentTable,
     abs_error_grid,
     consecutive_term_norm,
     eoc,
-    geometric_error_bound,
-    ham_contraction,
     moments_over_time,
     number_error,
     reference_moment,

@@ -27,8 +27,6 @@ __all__ = [
     "MassUniformBreakage",
     "DiscreteFragmentsBreakage",
     "BreakageSpec",
-    "breakage_mass_residual",
-    "fragment_count",
     "ExponentialIC",
     "WeightedExponentialIC",
     "CustomIC",
@@ -199,26 +197,6 @@ class DiscreteFragmentsBreakage:
 
 
 BreakageSpec = MassUniformBreakage | DiscreteFragmentsBreakage
-
-
-def breakage_mass_residual(breakage: BreakageSpec, parent: float) -> float:
-    """|mass of fragments - parent mass|, via the closed-form fragment integral."""
-    if not parent > 0:
-        raise DomainError(f"parent size must be positive, got {parent}")
-    if isinstance(breakage, MassUniformBreakage):
-        # integral of x * 2/parent over (0, parent) is parent exactly
-        return abs(parent - parent)
-    total = sum(breakage.ratios)  # exact rational arithmetic
-    return abs(float(total) * parent - parent)
-
-
-def fragment_count(breakage: BreakageSpec, parent: float, other: float) -> float:
-    """Expected number of fragments per breakage event (>= 2 and finite)."""
-    if not (parent > 0 and other > 0):
-        raise DomainError("particle sizes must be positive")
-    if isinstance(breakage, MassUniformBreakage):
-        return 2.0
-    return float(len(breakage.ratios))
 
 
 # --------------------------------------------------------------------------

@@ -35,11 +35,9 @@ from .cases import (
     CaseSpec,
     ConstantKernel,
     ProductKernel,
-    breakage_mass_residual,
     case_ids,
     exact_concentration,
     exact_moment,
-    fragment_count,
     kernel_eval,
     registry_case,
     with_overrides,
@@ -596,17 +594,6 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
         for x, y in pairs[:200]
     )
     checks.append(("kernel-symmetry", sym_ok, "K(x,y) == K(y,x) >= 0"))
-
-    parents = rng.uniform(1e-3, 40.0, size=100)
-    laws = [registry_case("ex1").breakage, registry_case("ex3").breakage]
-    mass_ok = all(breakage_mass_residual(b, p) == 0.0 for b in laws for p in parents)
-    checks.append(("breakage-mass", mass_ok, "fragment mass equals parent mass"))
-
-    count_ok = (
-        fragment_count(registry_case("ex1").breakage, 3.0, 1.0) == 2.0
-        and fragment_count(registry_case("ex3").breakage, 3.0, 1.0) == 2.0
-    )
-    checks.append(("fragment-count", count_ok, "two fragments per event"))
 
     case1 = registry_case("ex1")
     wide = build_grid(20.0, 200)

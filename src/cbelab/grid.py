@@ -1,5 +1,5 @@
 """Size-domain partition of ``(0, R]``, cell-average projection, quadrature,
-interpolation and weighted norms shared by every solver.
+interpolation and norms shared by every solver.
 
 Grids and grid functions are immutable; all operations are pure.
 """
@@ -19,7 +19,6 @@ __all__ = [
     "build_grid",
     "project_initial",
     "quad_moment",
-    "weighted_norm",
     "l1_norm",
     "l1_distance",
 ]
@@ -157,17 +156,6 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, rows: np.ndarray) -> np.ndarray:
     ``rows.shape[:-1] + x.shape``: linear between the nodes ``xp``, constant outside."""
     out = [np.interp(x, xp, row) for row in rows.reshape(-1, xp.size)]
     return np.reshape(out, rows.shape[:-1] + x.shape)
-
-
-def weighted_norm(g: GridFunction, r: float = 1.0, s: float = 0.0) -> float:
-    """Discrete weighted norm ``sum_i (mid_i**r + mid_i**(-2 s)) |g_i| width_i``."""
-    if not r >= 1:
-        raise DomainError(f"weight exponent r must be >= 1, got {r}")
-    if not s >= 0:
-        raise DomainError(f"weight exponent s must be >= 0, got {s}")
-    mid = g.grid.midpoints
-    weight = mid**r + mid ** (-2.0 * s)
-    return float(np.sum(weight * np.abs(g.values) * g.grid.widths))
 
 
 def l1_norm(g: GridFunction) -> float:

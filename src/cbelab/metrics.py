@@ -1,6 +1,4 @@
-"""Moments over time, error measures, convergence-order bookkeeping and the
-geometric error bounds of the series methods.
-"""
+"""Moments over time, error measures and convergence-order bookkeeping."""
 
 from __future__ import annotations
 
@@ -22,8 +20,6 @@ __all__ = [
     "reference_moment",
     "eoc",
     "consecutive_term_norm",
-    "geometric_error_bound",
-    "ham_contraction",
 ]
 
 _GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -107,24 +103,3 @@ def consecutive_term_norm(series: SeriesSolution, m: int) -> float:
     if not 0 <= m <= series.order:
         raise DomainError(f"order {m} exceeds the series order {series.order}")
     return l1_norm(series.terms[m].eval(series.case.tend))
-
-
-def geometric_error_bound(contraction: float, m: int, f1_norm: float) -> float:
-    """Geometric tail bound ``contraction**m / (1 - contraction) * f1_norm``."""
-    if not 0.0 < contraction < 1.0:
-        raise DomainError(f"contraction factor must lie in (0, 1), got {contraction}")
-    if not m >= 0:
-        raise DomainError("order must be non-negative")
-    if not f1_norm >= 0:
-        raise DomainError("norm of the first correction must be non-negative")
-    return contraction**m / (1.0 - contraction) * f1_norm
-
-
-def ham_contraction(xi: float, alpha: float) -> float:
-    """Effective contraction factor ``xi * |alpha| + |1 + alpha|`` of the
-    control-parameter recursion."""
-    if not xi >= 0:
-        raise DomainError("contraction input must be non-negative")
-    if not -1.0 <= alpha < 0.0:
-        raise DomainError(f"control parameter must lie in [-1, 0), got {alpha}")
-    return xi * abs(alpha) + abs(1.0 + alpha)

@@ -15,22 +15,18 @@ from cbelab import (
     NoExactReferenceError,
     ProductKernel,
     UnknownCaseError,
-    breakage_mass_residual,
     build_grid,
     case_ids,
     eoc,
     exact_concentration,
     exact_moment,
-    fragment_count,
-    geometric_error_bound,
-    ham_contraction,
     kernel_eval,
     project_initial,
     registry_case,
-    weighted_norm,
     with_overrides,
 )
 from cbelab.cases import kernel_matrix
+from error_bounds import geometric_error_bound, ham_contraction, weighted_norm
 
 
 class TestKernels:
@@ -91,22 +87,6 @@ class TestKernels:
 
 
 class TestBreakage:
-    def test_mass_uniform_residual_is_exact_zero(self):
-        assert breakage_mass_residual(MassUniformBreakage(), 3.0) == 0.0
-
-    def test_discrete_residual_is_exact_zero(self):
-        law = DiscreteFragmentsBreakage((Fraction(2, 5), Fraction(3, 5)))
-        assert breakage_mass_residual(law, 5.0) == 0.0
-
-    def test_residual_zero_for_random_parents(self, rng):
-        laws = [
-            MassUniformBreakage(),
-            DiscreteFragmentsBreakage((Fraction(2, 5), Fraction(3, 5))),
-        ]
-        for parent in rng.uniform(1e-6, 100.0, size=100):
-            for law in laws:
-                assert breakage_mass_residual(law, parent) == 0.0
-
     def test_rejects_incomplete_ratios(self):
         with pytest.raises(DomainError):
             DiscreteFragmentsBreakage((Fraction(1, 2),))
@@ -115,14 +95,12 @@ class TestBreakage:
         with pytest.raises(DomainError):
             DiscreteFragmentsBreakage((Fraction(3, 2), Fraction(-1, 2)))
 
-    def test_fragment_counts(self):
-        assert fragment_count(MassUniformBreakage(), 3.0, 1.0) == 2.0
-        two = DiscreteFragmentsBreakage((Fraction(2, 5), Fraction(3, 5)))
-        assert fragment_count(two, 1.0, 9.0) == 2.0
-        three = DiscreteFragmentsBreakage(
-            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-        )
-        assert fragment_count(three, 1.0, 1.0) == 3.0
+    def test_mass_guard_is_exact_below_double_precision(self):
+        # the ratios' floats sum to 1.0; the exact rationals miss it by 1e-30
+        ratios = (Fraction(2, 5), Fraction(3, 5) - Fraction(1, 10**30))
+        assert sum(float(a) for a in ratios) == 1.0
+        with pytest.raises(DomainError, match="must sum to 1 exactly"):
+            DiscreteFragmentsBreakage(ratios)
 
 
 class TestExactReferences:
@@ -221,8 +199,6 @@ NAN_CALLS = {
     "exact_moment": lambda ex1: exact_moment(ex1, 0, math.nan),
     "exact_concentration-time": lambda ex1: exact_concentration(ex1, math.nan, np.array([1.0])),
     "exact_concentration-size": lambda ex1: exact_concentration(ex1, 0.5, np.array([math.nan])),
-    "breakage_mass_residual": lambda ex1: breakage_mass_residual(ex1.breakage, math.nan),
-    "fragment_count": lambda ex1: fragment_count(ex1.breakage, math.nan, 1.0),
     "eoc": lambda ex1: eoc(math.nan, 1.0),
     "geometric_error_bound": lambda ex1: geometric_error_bound(0.5, 2, math.nan),
     "geometric_error_bound-order": lambda ex1: geometric_error_bound(0.5, math.nan, 1.0),

@@ -576,8 +576,22 @@ class TestValidateCommand:
         assert main(["validate", "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "validate.json").read_text())
         assert report["passed"] is True
-        names = {check["name"] for check in report["checks"]}
-        assert "oracle-equivalence" in names
+        assert [check["name"] for check in report["checks"]] == [
+            "kernel-symmetry",
+            "exact-moment-quadrature",
+            "oracle-equivalence",
+            "control-series-degree",
+            "alpha-domain",
+            "rhs-brute-force",
+        ]
+
+    @staticmethod
+    def assert_fails_only(name, capsys):
+        assert main(["validate"]) == 1
+        out = capsys.readouterr()
+        failed = [line.split(":")[0] for line in out.out.splitlines() if line.startswith("[FAIL]")]
+        assert failed == [f"[FAIL] {name}"]
+        assert f"validation failed: {name}" in out.err
 
     def test_validate_catches_perturbed_oracle(self, monkeypatch, capsys):
         import cbelab.cli as cli_module
@@ -588,10 +602,7 @@ class TestValidateCommand:
             return TimePoly(grid, 1.01 * term.coeffs)
 
         monkeypatch.setattr(cli_module, "oracle_terms", skewed)
-        assert main(["validate"]) == 1
-        out = capsys.readouterr()
-        assert "[FAIL] oracle-equivalence" in out.out
-        assert "validation failed: oracle-equivalence" in out.err
+        self.assert_fails_only("oracle-equivalence", capsys)
 
     def test_validate_catches_perturbed_cell_rule(self, monkeypatch, capsys):
         # the cell rule is the finite volumes' birth map for discrete fragments (ex3)
@@ -599,10 +610,48 @@ class TestValidateCommand:
 
         exact = _CellWeights.__call__
         monkeypatch.setattr(_CellWeights, "__call__", lambda self, c: 1.001 * exact(self, c))
-        assert main(["validate"]) == 1
-        out = capsys.readouterr()
-        assert "[FAIL] rhs-brute-force" in out.out
-        assert "validation failed: rhs-brute-force" in out.err
+        self.assert_fails_only("rhs-brute-force", capsys)
+
+    def test_validate_catches_asymmetric_kernel(self, monkeypatch, capsys):
+        import cbelab.cli as cli_module
+        from cbelab import kernel_eval
+
+        # a kernel evaluation that weights the partner size once more
+        monkeypatch.setattr(cli_module, "kernel_eval", lambda k, x, y: kernel_eval(k, x, y) * y)
+        self.assert_fails_only("kernel-symmetry", capsys)
+
+    def test_validate_catches_perturbed_closed_form(self, monkeypatch, capsys):
+        import cbelab.metrics as metrics_module
+        from cbelab import exact_concentration
+
+        monkeypatch.setattr(
+            metrics_module,
+            "exact_concentration",
+            lambda case, t, x: 1.001 * exact_concentration(case, t, x),
+        )
+        self.assert_fails_only("exact-moment-quadrature", capsys)
+
+    def test_validate_catches_a_term_above_its_degree(self, monkeypatch, capsys):
+        import dataclasses
+
+        import cbelab.cli as cli_module
+        from cbelab import TimePoly, ham_terms
+
+        # every term gains a t**(degree + 1) row too small to move any profile
+        def raised(case, grid, order, alpha):
+            series = ham_terms(case, grid, order, alpha)
+            tail = np.full((1, grid.cells), 1e-300)
+            terms = tuple(TimePoly(grid, np.vstack([t.coeffs, tail])) for t in series.terms)
+            return dataclasses.replace(series, terms=terms)
+
+        monkeypatch.setattr(cli_module, "ham_terms", raised)
+        self.assert_fails_only("control-series-degree", capsys)
+
+    def test_validate_catches_an_unchecked_control_parameter(self, monkeypatch, capsys):
+        import cbelab.series as series_module
+
+        monkeypatch.setattr(series_module, "_check_alpha", float)
+        self.assert_fails_only("alpha-domain", capsys)
 
 
 _ENTRIES = st.one_of(

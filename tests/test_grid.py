@@ -16,10 +16,10 @@ from cbelab import (
     l1_norm,
     project_initial,
     quad_moment,
-    weighted_norm,
 )
 from cbelab.collision import birth_map
 from cbelab.grid import _interp_rows
+from error_bounds import weighted_norm
 
 
 class TestBuildGrid:

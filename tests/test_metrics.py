@@ -17,8 +17,6 @@ from cbelab import (
     consecutive_term_norm,
     eoc,
     exact_concentration,
-    geometric_error_bound,
-    ham_contraction,
     ham_terms,
     integrate,
     l1_distance,
@@ -30,6 +28,7 @@ from cbelab import (
     truncated_sum,
 )
 from cbelab.metrics import MASS_DRIFT_TOL
+from error_bounds import geometric_error_bound, ham_contraction
 
 
 def series_profiles(series, times):
