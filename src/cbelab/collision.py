@@ -55,8 +55,9 @@ def _poly_eval(coeffs: np.ndarray, t) -> np.ndarray:
     """Horner values at a time (shape ``(cells,)``) or a 1-D array of times (``(times, cells)``)."""
     times = np.asarray(t, dtype=float)
     out = np.zeros(times.shape + coeffs.shape[1:])
+    column = times[..., None]
     for row in coeffs[::-1]:
-        out *= times[..., None]
+        out *= column
         out += row
     return out
 
@@ -93,12 +94,16 @@ class FragWeights:
 
 
 class _MassUniformWeights(FragWeights):
+    def __init__(self, grid: Grid) -> None:
+        super().__init__(grid)
+        self.scale = grid.widths / grid.midpoints
+
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        grid = self.grid
         # birth_i = 2 sum_{j > i} d_j + d_i: the own cell counts half
-        d = c * (grid.widths / grid.midpoints)
-        tail = np.cumsum(d[..., ::-1], axis=-1)[..., ::-1]
-        return 2.0 * tail - d
+        d = c * self.scale
+        birth = 2.0 * d[..., ::-1].cumsum(axis=-1)[..., ::-1]
+        birth -= d
+        return birth
 
 
 class _CellWeights(FragWeights):
@@ -131,7 +136,7 @@ class _InterpolatedWeights(FragWeights):
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         per_ratio = c.reshape(c.shape[:-1] + (self.scale.size, self.grid.cells))
-        return np.sum(per_ratio * self.scale[:, None], axis=-2)
+        return (per_ratio * self.scale[:, None]).sum(axis=-2)
 
 
 def birth_map(grid: Grid, breakage, interpolated: bool = False) -> FragWeights:
@@ -167,12 +172,13 @@ class CollisionOperator:
         axis before the cells, so a ``(..., cells)`` array gives ``(..., r, cells)``."""
         weights = self.weights
         birth = weights(weights.sample(p)[..., None, :] * self._at_sites)
-        return birth - p[..., None, :] * self._at_mid
+        birth -= p[..., None, :] * self._at_mid
+        return birth
 
     def partner_rates(self, q: np.ndarray) -> np.ndarray:
         """The other half: ``sigma_k = sum_l B_k(m_l) w_l q_l`` per time row, ``(..., r, 1)``; a
         numpy sum, not BLAS, so a row's doubles depend on neither row nor thread count."""
-        return np.sum(q[..., None, :] * self._bw, axis=-1)[..., None]
+        return (q[..., None, :] * self._bw).sum(axis=-1, keepdims=True)
 
     def collide(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Time coefficients of gain minus loss for parents ``p`` and partners ``q``; axes other
@@ -181,18 +187,24 @@ class CollisionOperator:
 
     def taylor_rows(self, f0: np.ndarray, order: int) -> np.ndarray:
         """Time-Taylor rows ``c_0 = f0 .. c_order`` of ``df/dt = collide(f, f)``, stacked:
-        ``c_{m+1} = sum_k collide(c_k, c_{m-k}) / (m + 1)``, one row of power ``m + 1``
-        accumulated in place, so each birth pass is taken once and the last row's never."""
-        rows, passes, rates = np.zeros((order + 1, f0.size)), [], []
+        ``c_{m+1} = sum_k collide(c_k, c_{m-k}) / (m + 1)``.  Each row's parent pass and
+        partner rates go into tables allocated once per call (the last row's never), and
+        row ``m + 1`` is one product of the passes ``k = 0 .. m`` with the rates
+        ``m - k`` and one ordered reduction of it, k first and rank second."""
+        cells, rank = f0.size, self._at_mid.shape[0]
+        rows = np.zeros((order + 1, cells))
+        passes, products = np.zeros((2, order, rank, cells))
+        rates = np.zeros((order, rank, 1))
         rows[0] = f0
         for m in range(order):
-            passes.append(self.parent_pass(rows[m]))
-            rates.append(self.partner_rates(rows[m]))
-            conv = np.zeros(f0.size)
-            for k in range(m + 1):
-                for p, sigma in zip(passes[k], rates[m - k]):
-                    conv += p * sigma
-            rows[m + 1] = conv * (1.0 / (m + 1))
+            passes[m] = self.parent_pass(rows[m])
+            rates[m] = self.partner_rates(rows[m])
+            np.multiply(passes[: m + 1], rates[m::-1], out=products[: m + 1])
+            # a leading-axis reduce adds row by row, never pairwise; 0.0 + x turns -0.0 into 0.0
+            np.add.reduce(
+                products[: m + 1].reshape(-1, cells), axis=0, initial=0.0, out=rows[m + 1]
+            )
+            rows[m + 1] *= 1.0 / (m + 1)
         return rows
 
 

@@ -48,7 +48,7 @@ class FvmSolution:
 
 def _rms(x: np.ndarray) -> float:
     # a numpy sum, not a BLAS dot, so the norm does not depend on the thread count
-    return np.sqrt(np.sum(x * x)) / x.size**0.5
+    return np.sqrt((x * x).sum()) / x.size**0.5
 
 
 def _taylor_stages(operator, y0: np.ndarray, out_times: np.ndarray) -> tuple[list, int]:
@@ -66,9 +66,10 @@ def _taylor_stages(operator, y0: np.ndarray, out_times: np.ndarray) -> tuple[lis
         # overflow and its NaNs are caught below as non-finite rows or states
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rows = operator.taylor_rows(y, _ORDER)
-            if not np.all(np.isfinite(rows)):
+            if not np.isfinite(rows).all():
                 raise DivergenceError(f"non-finite Taylor rows at t={t:.6g}")
-            e1, e2 = (_rms(row / (_ATOL + _RTOL * np.abs(y))) for row in rows[-2:])
+            scale = _ATOL + _RTOL * np.abs(y)
+            e1, e2 = (_rms(row / scale) for row in rows[-2:])
             h = min(e1 ** (-1 / (_ORDER - 1)), e2 ** (-1 / _ORDER))
             # ten ulps of t: a shorter stage no longer moves t by a reliable amount
             if h < 10 * np.spacing(t):
@@ -76,7 +77,9 @@ def _taylor_stages(operator, y0: np.ndarray, out_times: np.ndarray) -> tuple[lis
             t_new = min(t + h, t_end)
             stop = np.searchsorted(out_times, t_new, side="right")
             values = _poly_eval(rows, np.append(out_times[next_idx:stop] - t, t_new - t))
-        if not np.all(np.isfinite(values)):
+        # unbound now, this stage's rows would stay alive through the next stage's recursion
+        del rows
+        if not np.isfinite(values).all():
             raise DivergenceError(f"non-finite state at t={t_new:.6g}")
         snapshots.extend(values[:-1])
         t, y, next_idx, stages = t_new, values[-1], stop, stages + 1

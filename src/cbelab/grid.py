@@ -114,7 +114,7 @@ class GridFunction:
             raise DomainError(
                 f"expected {self.grid.cells} values, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DomainError("grid function values must be finite")
         values = values.copy()
         values.setflags(write=False)
@@ -141,7 +141,7 @@ def project_initial(init: InitialCondition, grid: Grid) -> GridFunction:
 
 def _moments(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
     """Midpoint-rule moment ``sum_i mid_i**order * v_i * width_i`` of each row of ``values``."""
-    return np.sum(grid.midpoints**order * values * grid.widths, axis=-1)
+    return (grid.midpoints**order * values * grid.widths).sum(axis=-1)
 
 
 def quad_moment(g: GridFunction, order: int) -> float:

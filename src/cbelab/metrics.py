@@ -74,9 +74,10 @@ def reference_moment(case: CaseSpec, grid: Grid, t: float, order: int = 0) -> fl
     Gauss–Legendre quadrature on every cell."""
     half = 0.5 * grid.widths
     x = grid.midpoints + half * _GL20_NODES[:, None]
+    row_sums = (x**order * exact_concentration(case, t, x) * half).sum(axis=1)
     total = 0.0
-    for weight, row in zip(_GL20_WEIGHTS, x**order * exact_concentration(case, t, x) * half):
-        total += weight * float(np.sum(row))
+    for weight, row_sum in zip(_GL20_WEIGHTS, row_sums):
+        total += weight * float(row_sum)
     return total
 
 

@@ -63,7 +63,7 @@ class TimePoly:
             raise DomainError(
                 f"coefficient rows must have {self.grid.cells} entries"
             )
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise DomainError("polynomial coefficients must be finite")
         last = coeffs.shape[0]
         while last > 1 and not coeffs[last - 1].any():
@@ -95,7 +95,7 @@ def _poly_antider(p: np.ndarray) -> np.ndarray:
 
 def _checked(values: np.ndarray, what: str) -> np.ndarray:
     """Computed coefficients or values, which must be finite (a numerical failure, not bad input)."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericalError(f"{what} has non-finite values")
     return values
 
@@ -146,7 +146,7 @@ def _hpm_build(grid: Grid, kernel, breakage, init, order: int) -> np.ndarray:
     ops = _collision_ops(grid, kernel, breakage)
     rows = ops.taylor_rows(project_initial(init, grid).values, order)
     # the first non-finite row names the failing term; row 0 (the projection) is finite
-    first = int(np.argmin(np.all(np.isfinite(rows), axis=1)))
+    first = int(np.argmin(np.isfinite(rows).all(axis=1)))
     _checked(rows[first], f"ham term {first}")
     return rows
 

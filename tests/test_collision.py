@@ -106,6 +106,58 @@ def test_first_taylor_row_is_the_rhs(case_id, scheme):
     assert row.tobytes() == _collide_rows(operator, f0, f0).tobytes()
 
 
+def _loop_taylor_rows(operator, f0, order):
+    """The Taylor recursion as a loop over k and rank, one ``conv += p * sigma`` per
+    pair: the reference that the ordered reduction of ``taylor_rows`` must match."""
+    rows, passes, rates = np.zeros((order + 1, f0.size)), [], []
+    rows[0] = f0
+    for m in range(order):
+        passes.append(operator.parent_pass(rows[m]))
+        rates.append(operator.partner_rates(rows[m]))
+        conv = np.zeros(f0.size)
+        for k in range(m + 1):
+            for p, sigma in zip(passes[k], rates[m - k]):
+                conv += p * sigma
+        rows[m + 1] = conv * (1.0 / (m + 1))
+    return rows
+
+
+# kernel id -> its rank on a grid of many cells; np.minimum has full rank
+TAYLOR_KERNEL_RANKS = {"product": 1, "constant": 1, "sum": 2, "brownian": 3, "min": None}
+
+
+@pytest.mark.parametrize(
+    "kernel_id, cells",
+    [
+        (kernel_id, cells)
+        for kernel_id, rank in TAYLOR_KERNEL_RANKS.items()
+        for cells in (2, 3, 60) + ((4000,) if rank in (1, 2) else ())
+    ],
+)
+@pytest.mark.parametrize("interpolated", [False, True], ids=["cell", "interpolated"])
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_taylor_rows_match_the_loop_bit_for_bit(law, interpolated, kernel_id, cells, rng):
+    # one reduction over (k, rank) adds in the loop's order, k first and rank second
+    grid = build_grid(6.0, cells)
+    kernel = {
+        "product": ProductKernel(1.0),
+        "constant": ConstantKernel(1.0),
+        "min": CustomKernel(np.minimum),
+    }.get(kernel_id) or _custom_kernel(kernel_id, grid)
+    op = CollisionOperator(birth_map(grid, law, interpolated=interpolated), kernel)
+    f0 = rng.uniform(0.0, 1.0, cells)
+    f0[::3] = -0.0
+    f0[1::5] = 0.0
+    f0[-1] = 0.0  # a zero top cell can give a zero pass, -0.0 against the negated f0's rates
+    rank = TAYLOR_KERNEL_RANKS[kernel_id] or cells
+    assert op.partner_rates(f0).shape[-2] == min(rank, cells)
+    for sign, order in itertools.product((1.0, -1.0), (0, 1, 5, 12)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = op.taylor_rows(sign * f0, order)
+            ref = _loop_taylor_rows(op, sign * f0, order)
+        assert rows.tobytes() == ref.tobytes(), (sign, order)
+
+
 @pytest.mark.parametrize("law", LAWS, ids=["mass-uniform", "fragments"])
 def test_dense_custom_kernel_matches_rank_one_product_kernel(law, rng):
     grid = build_grid(10.0, 40)

@@ -650,9 +650,10 @@ class TestOptimizeAlpha:
         ham_terms(ex1, grid, 5, optimize_alpha(ex1, grid, 5).alpha)
         assert _hpm_build.cache_info().misses == 1
         # one pass per HPM term but the last, one batched pass for the alpha
-        # table and one per residual of the 3 candidates; the terms sum their 15
-        # one-row products in place in taylor_rows, one stacked collide fills the
-        # alpha table's 36 pairs and 3 serve the residuals
+        # table and one per residual of the 3 candidates; taylor_rows forms the
+        # terms' 15 pass-rate products as one product and one ordered reduction
+        # per row, one stacked collide fills the alpha table's 36 pairs and 3
+        # serve the residuals
         assert len(passes) == 5 + 1 + 3
         assert len(collides) == 1 + 3
 

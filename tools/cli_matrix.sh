@@ -56,6 +56,10 @@ run solve-ex1-fvm-t0 solve --case ex1 --method fvm --times 0
 run solve-ex1-ahpm-t0 solve --case ex1 --method ahpm --times 0
 # a horizon of 1e-13: one stage, still far above ten ulps of t
 run solve-ex1-fvm-tend1e-13 solve --case ex1 --method fvm --cells 50 --tend 1e-13
+# the smallest grid, where the Taylor tables have two cells: ex3 finishes, and ex1's
+# stage length falls to 0 at t=0.159 (exit code 3 and one "numerical failure:" line)
+run solve-ex3-fvm-cells2 solve --case ex3 --method fvm --cells 2
+run solve-ex1-fvm-cells2 solve --case ex1 --method fvm --cells 2
 # output times that fall inside a Taylor stage, evaluated by its polynomial
 run solve-ex3-fvm-times solve --case ex3 --method fvm --cells 300 --times 0.05,0.5
 run eoc-ex1-fvm eoc --case ex1 --method fvm
