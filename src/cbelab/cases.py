@@ -67,11 +67,12 @@ class ProductKernel:
             raise DomainError(f"kernel scale must be finite and non-negative, got {self.scale}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CustomKernel:
     """Symmetric, non-negative rate ``fn(x, y)``, called once per table, column or row
     on float arrays that broadcast; it returns their broadcast shape, or a scalar.
     Use ``np.where``, ``np.minimum`` and numpy ufuncs, or wrap it in ``np.vectorize``.
+    Compared and hashed by identity, so the solvers' caches take any ``fn``.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -219,10 +220,11 @@ class WeightedExponentialIC:
         return (1.0 + lo) * np.exp(-lo) - (1.0 + hi) * np.exp(-hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CustomIC:
     """Non-negative ``fn(x)`` with finite moments 0..2, called once on the array of
-    every cell's Gauss-Legendre nodes; it returns that shape, as ``CustomKernel`` does.
+    every cell's Gauss-Legendre nodes; it returns that shape, as ``CustomKernel`` does,
+    and is compared and hashed by identity, as ``CustomKernel`` is.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -237,10 +239,11 @@ InitialCondition = ExponentialIC | WeightedExponentialIC | CustomIC
 
 @dataclass(frozen=True)
 class ExactReference:
-    """Closed-form reference data; any component may be absent."""
+    """Closed-form reference data; any component may be absent.  The moments
+    mapping takes part in equality but not in the hash, so cases hash."""
 
     concentration: Callable[[float, np.ndarray], np.ndarray] | None = None
-    moments: Mapping[int, Callable[[float], float]] = field(default_factory=dict)
+    moments: Mapping[int, Callable[[float], float]] = field(default_factory=dict, hash=False)
 
 
 @dataclass(frozen=True)

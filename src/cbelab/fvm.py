@@ -16,7 +16,7 @@ import numpy as np
 from .cases import CaseSpec
 from .collision import CollisionOperator, _poly_eval, birth_map
 from .errors import DivergenceError, DomainError, StiffnessError
-from .grid import Grid, GridFunction, project_initial
+from .grid import Grid, GridFunction, _projected
 
 __all__ = ["FvmSolution", "precompute_weights", "integrate"]
 
@@ -108,8 +108,7 @@ def integrate(case: CaseSpec, grid: Grid, times) -> FvmSolution:
         )
 
     operator = CollisionOperator(precompute_weights(grid, case.breakage), case.kernel)
-    y0 = project_initial(case.init, grid).values
-    raw, stages = _taylor_stages(operator, y0, out_times)
+    raw, stages = _taylor_stages(operator, _projected(case.init, grid), out_times)
     return FvmSolution(
         case=case,
         grid=grid,

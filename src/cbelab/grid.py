@@ -7,6 +7,7 @@ Grids and grid functions are immutable; all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,6 +138,14 @@ def project_initial(init: InitialCondition, grid: Grid) -> GridFunction:
     half = 0.5 * grid.widths
     nodes = grid.midpoints + half * _GL5_NODES[:, None]
     return GridFunction(grid, _GL5_WEIGHTS @ _broadcast_call(init.fn, nodes) * half / grid.widths)
+
+
+@lru_cache(maxsize=4)
+def _projected(init: InitialCondition, grid: Grid) -> np.ndarray:
+    """``project_initial(init, grid).values`` (read-only), kept for the last four grids: the
+    finite volumes and both series on one grid start from it, and table 1 runs each method
+    over four grids in turn."""
+    return project_initial(init, grid).values
 
 
 def _moments(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from .errors import (
     NoOracleError,
     NumericalError,
 )
-from .grid import Grid, GridFunction, _interp_rows, project_initial
+from .grid import Grid, GridFunction, _interp_rows, _projected
 
 __all__ = [
     "TimePoly",
@@ -104,7 +104,11 @@ def _checked(values: np.ndarray, what: str) -> np.ndarray:
 # series construction
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=4)
 def _collision_ops(grid: Grid, kernel, breakage) -> CollisionOperator:
+    """The interpolated-rule operator, kept for the last four grids, kernels and laws: HAM,
+    AHPM, the residual and the alpha table on one grid share it, and table 1 runs each
+    series method over four grids in turn."""
     return CollisionOperator(birth_map(grid, breakage, interpolated=True), kernel)
 
 
@@ -141,10 +145,10 @@ def _check_alpha(alpha: float) -> float:
 @lru_cache(maxsize=1)
 def _hpm_build(grid: Grid, kernel, breakage, init, order: int) -> np.ndarray:
     """The alpha = -1 (plain HPM) terms ``g_j = c_j t**j``: the ``taylor_rows`` of the
-    interpolated-rule operator from the projected initial condition.  The one entry kept
-    serves an alpha search and the series it picks."""
-    ops = _collision_ops(grid, kernel, breakage)
-    rows = ops.taylor_rows(project_initial(init, grid).values, order)
+    interpolated-rule operator from the projected initial condition, both taken from the
+    caches that AHPM, the residual and the alpha table on the same grid share.  The one
+    entry kept serves an alpha search and the series it picks."""
+    rows = _collision_ops(grid, kernel, breakage).taylor_rows(_projected(init, grid), order)
     # the first non-finite row names the failing term; row 0 (the projection) is finite
     first = int(np.argmin(np.isfinite(rows).all(axis=1)))
     _checked(rows[first], f"ham term {first}")
@@ -196,7 +200,7 @@ def ahpm_terms(case: CaseSpec, grid: Grid, order: int) -> SeriesSolution:
     if order < 0:
         raise DomainError("order must be non-negative")
     ops = _collision_ops(grid, case.kernel, case.breakage)
-    f0 = project_initial(case.init, grid).values
+    f0 = _projected(case.init, grid)
     terms = [TimePoly(grid, f0)]
     for n in range(1, order + 1):
         terms.append(TimePoly(grid, -_checked(_defect(ops, f0, terms), f"ahpm term {n}")))
@@ -205,17 +209,19 @@ def ahpm_terms(case: CaseSpec, grid: Grid, order: int) -> SeriesSolution:
 
 def truncated_sum(series: SeriesSolution, m: int, t) -> GridFunction | tuple[GridFunction, ...]:
     """Partial sum of the first ``m + 1`` terms at time ``t``, or a tuple of them at each of a
-    sequence of times, summed in one Horner pass and bit-identical to one call per time."""
+    sequence of times, summed in one Horner pass and bit-identical to one call per time.
+    The ``(times, cells)`` block is checked for finiteness at once; only a failing block
+    is searched for the first time to name."""
     if not 0 <= m <= series.order:
         raise DomainError(f"order {m} exceeds the series order {series.order}")
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or times.size == 0:
         raise DomainError(f"need a time or a non-empty 1-D sequence of times, got shape {times.shape}")
-    acc = sum(_poly_eval(term.coeffs, times) for term in series.terms[: m + 1])
-    sums = tuple(
-        GridFunction(series.grid, _checked(row, f"order-{m} {series.method} sum at t={tm:g}"))
-        for tm, row in zip(np.atleast_1d(times), np.atleast_2d(acc))
-    )
+    rows = np.atleast_2d(sum(_poly_eval(term.coeffs, times) for term in series.terms[: m + 1]))
+    if not np.isfinite(rows).all():
+        first = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        _checked(rows[first], f"order-{m} {series.method} sum at t={np.atleast_1d(times)[first]:g}")
+    sums = tuple(GridFunction(series.grid, row) for row in rows)
     return sums[0] if times.ndim == 0 else sums
 
 
@@ -240,7 +246,7 @@ def residual(case: CaseSpec, terms: Sequence[TimePoly]) -> TimePoly:
     if any(term.grid is not grid for term in terms):
         raise GridMismatchError("series terms live on different grids")
     ops = _collision_ops(grid, case.kernel, case.breakage)
-    f0 = project_initial(case.init, grid).values
+    f0 = _projected(case.init, grid)
     return TimePoly(grid, _checked(_defect(ops, f0, terms), "series residual"))
 
 

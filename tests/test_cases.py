@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cbelab import (
     ConstantKernel,
+    CustomIC,
     CustomKernel,
     DiscreteFragmentsBreakage,
     DomainError,
@@ -15,11 +17,14 @@ from cbelab import (
     NoExactReferenceError,
     ProductKernel,
     UnknownCaseError,
+    ahpm_terms,
     build_grid,
     case_ids,
     eoc,
     exact_concentration,
     exact_moment,
+    ham_terms,
+    integrate,
     kernel_eval,
     project_initial,
     registry_case,
@@ -178,6 +183,39 @@ class TestRegistry:
             registry_case("ex4")
         assert isinstance(exc.value, KeyError)
         assert str(exc.value) == "unknown case 'ex4'; available: ['ex1', 'ex2', 'ex3']"
+
+    @pytest.mark.parametrize("case_id", ["ex1", "ex2", "ex3"])
+    def test_cases_hash(self, case_id):
+        case = registry_case(case_id)
+        copy = with_overrides(case, tend=case.tend)
+        assert copy is not case and copy == case
+        assert hash(copy) == hash(case)
+        # the moments take part in equality, though not in the hash
+        assert case != dataclasses.replace(case, exact=dataclasses.replace(case.exact, moments={}))
+
+    def test_unhashable_custom_functions_run(self, ex1):
+        # a dataclass callable compares by value and has no hash; its wrapper compares
+        # by identity, so the solvers' caches take it
+        @dataclasses.dataclass
+        class Decay:
+            rate: float
+
+            def __call__(self, x):
+                return np.exp(-self.rate * x)
+
+        @dataclasses.dataclass
+        class Product:
+            scale: float
+
+            def __call__(self, x, y):
+                return self.scale * x * y
+
+        case = dataclasses.replace(ex1, kernel=CustomKernel(Product(1.0)), init=CustomIC(Decay(1.0)))
+        assert hash(case) == hash(dataclasses.replace(case))
+        grid = build_grid(case.rmax, 40)
+        integrate(case, grid, (0.0, case.tend))
+        ahpm_terms(case, grid, 3)
+        ham_terms(case, grid, 3, -0.8)
 
     def test_override_validation(self, ex3):
         assert with_overrides(ex3, tend=0.9).tend == 0.9

@@ -541,6 +541,13 @@ def reproduce_all(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def reproduce_all_60(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reproduce") / "all"
+    assert main(["reproduce", "all", "--out", str(out), "--cells", "60"]) == EXIT_OK
+    return out
+
+
 class TestReproduceSharesRuns:
     def test_each_run_computed_once(self, tmp_path, monkeypatch):
         import cbelab.cli as cli_module
@@ -568,6 +575,67 @@ class TestReproduceSharesRuns:
         (alone,) = (tmp_path / figure).iterdir()
         assert [p.name for p in (reproduce_all / figure).iterdir()] == [alone.name]
         assert read_body(alone) == read_body(reproduce_all / figure / alone.name)
+
+    @pytest.mark.parametrize("figure", ["table1", "fig2", "fig7"])
+    def test_figure_on_a_table1_grid_matches_all(self, tmp_path, reproduce_all_60, figure):
+        # at 60 cells the ex1 figures run on table 1's second grid: table 1 reads the
+        # horizon alone, fig2 all 11 times, and both share the grid and its setup
+        assert main(["reproduce", figure, "--out", str(tmp_path), "--cells", "60"]) == EXIT_OK
+        (alone,) = (tmp_path / figure).iterdir()
+        assert (reproduce_all_60 / figure / alone.name).read_bytes() == alone.read_bytes()
+
+    def test_each_grid_set_up_once(self, tmp_path, monkeypatch):
+        import cbelab.cli as cli_module
+        import cbelab.grid as grid_module
+        import cbelab.metrics as metrics_module
+        import cbelab.series as series_module
+
+        made = {name: [] for name in ("grid", "projection", "operator", "reference")}
+        sums, runs = [], []
+
+        def recorded(module, name, record):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                record(args, kwargs, result)
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recorded(cli_module, "build_grid", lambda a, k, grid: made["grid"].append((grid.rmax, grid.cells)))
+        recorded(grid_module, "project_initial", lambda a, k, _: made["projection"].append(a))
+        # the series' interpolated-rule operator takes its birth map from here
+        recorded(series_module, "birth_map", lambda a, k, _: made["operator"].append((a[0], a[1], k)))
+        recorded(metrics_module, "reference_moment", lambda a, k, _: made["reference"].append(a))
+        recorded(cli_module, "truncated_sum", lambda a, k, _: sums.append((a[0].grid.cells, len(a[2]))))
+        recorded(cli_module, "integrate", lambda a, k, _: runs.append((a[1].cells, len(a[2]))))
+        assert main(["reproduce", "all", "--out", str(tmp_path), "--cells", "300"]) == EXIT_OK
+        # R = 10 at table 1's four counts and at 300 cells; ex2 and ex3 share R = 20
+        assert sorted(made["grid"]) == [(10.0, 30), (10.0, 60), (10.0, 120), (10.0, 240), (10.0, 300),
+                                        (20.0, 300)]
+        # one projection per grid and initial condition, and one series operator per
+        # grid and breakage law, whichever methods read them
+        assert len(made["projection"]) == 7 == len(set(made["projection"]))
+        assert len(made["operator"]) == 7 == len(set((id(g), b) for g, b, _ in made["operator"]))
+        assert all(k == {"interpolated": True} for *_, k in made["operator"])
+        # table 1's number errors read one reference per grid, not one per method
+        assert len(made["reference"]) == 4 == len(set(made["reference"]))
+        # table 1 evaluates its runs at 0 and the horizon, the figures at 11 times
+        table1 = [(cells, 2) for cells in (30, 60, 120, 240)]
+        assert sorted(runs) == sorted(table1 + [(300, 11)] * 3)
+        assert sorted(sums) == sorted(2 * table1 + [(300, 11)] * 6)
+
+    def test_caches_stay_at_their_bound(self, tmp_path):
+        from cbelab.grid import _projected
+        from cbelab.metrics import _reference_number
+        from cbelab.series import _collision_ops, _hpm_build
+
+        for out in ("first", "second"):
+            assert main(["reproduce", "all", "--out", str(tmp_path / out), "--cells", "40"]) == EXIT_OK
+        for cache, bound in ((_projected, 4), (_collision_ops, 4), (_reference_number, 4), (_hpm_build, 1)):
+            info = cache.cache_info()
+            assert (info.maxsize, info.currsize) == (bound, bound)
 
 
 class TestValidateCommand:

@@ -27,6 +27,8 @@ run() {
 
 run reproduce-40 reproduce all --cells 40
 run reproduce-300 reproduce all --cells 300
+# a figure grid equal to a table-1 grid: table 1 reads the horizon alone, fig2 all 11 times
+run reproduce-60 reproduce all --cells 60
 # too few cells: exit code 2 before any file is written
 run reproduce-all-cells1 reproduce all --cells 1
 run reproduce-table1-cells1 reproduce table1 --cells 1
