@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cases import CaseSpec, registry_case
-from .collision import CollisionOperator, _poly_eval, birth_map
+from .collision import CollisionOperator, _poly_eval, birth_map, cauchy_product
 from .errors import (
     DomainError,
     GridMismatchError,
@@ -107,7 +107,7 @@ def _checked(values: np.ndarray, what: str) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _collision_ops(grid: Grid, kernel, breakage) -> CollisionOperator:
     """The interpolated-rule operator, kept for the last four grids, kernels and laws: HAM,
-    AHPM, the residual and the alpha table on one grid share it, and table 1 runs each
+    AHPM, the residual and the alpha objective on one grid share it, and table 1 runs each
     series method over four grids in turn."""
     return CollisionOperator(birth_map(grid, breakage, interpolated=True), kernel)
 
@@ -146,7 +146,7 @@ def _check_alpha(alpha: float) -> float:
 def _hpm_build(grid: Grid, kernel, breakage, init, order: int) -> np.ndarray:
     """The alpha = -1 (plain HPM) terms ``g_j = c_j t**j``: the ``taylor_rows`` of the
     interpolated-rule operator from the projected initial condition, both taken from the
-    caches that AHPM, the residual and the alpha table on the same grid share.  The one
+    caches that AHPM, the residual and the alpha objective on the same grid share.  The one
     entry kept serves an alpha search and the series it picks."""
     rows = _collision_ops(grid, kernel, breakage).taylor_rows(_projected(init, grid), order)
     # the first non-finite row names the failing term; row 0 (the projection) is finite
@@ -203,7 +203,9 @@ def ahpm_terms(case: CaseSpec, grid: Grid, order: int) -> SeriesSolution:
     f0 = _projected(case.init, grid)
     terms = [TimePoly(grid, f0)]
     for n in range(1, order + 1):
-        terms.append(TimePoly(grid, -_checked(_defect(ops, f0, terms), f"ahpm term {n}")))
+        theta = _poly_sum([term.coeffs for term in terms])
+        defect = _defect(f0, theta, ops.collide(theta, theta))
+        terms.append(TimePoly(grid, -_checked(defect, f"ahpm term {n}")))
     return SeriesSolution(method="ahpm", case=case, grid=grid, terms=tuple(terms))
 
 
@@ -225,10 +227,10 @@ def truncated_sum(series: SeriesSolution, m: int, t) -> GridFunction | tuple[Gri
     return sums[0] if times.ndim == 0 else sums
 
 
-def _defect(ops: CollisionOperator, f0: np.ndarray, terms: Sequence[TimePoly]) -> np.ndarray:
-    """Time coefficients of ``theta - f0 - int_0^t C(theta, theta)``, ``theta`` the sum of ``terms``."""
-    theta = _poly_sum([term.coeffs for term in terms])
-    defect = _poly_sum([theta, -_poly_antider(ops.collide(theta, theta))])
+def _defect(f0: np.ndarray, theta: np.ndarray, conv: np.ndarray) -> np.ndarray:
+    """Time coefficients of ``theta - f0 - int_0^t conv``, the defect of ``theta`` in the
+    integrated collision equation when ``conv`` is its collision product ``C(theta, theta)``."""
+    defect = _poly_sum([theta, -_poly_antider(conv)])
     defect[0] -= f0
     return defect
 
@@ -247,7 +249,8 @@ def residual(case: CaseSpec, terms: Sequence[TimePoly]) -> TimePoly:
         raise GridMismatchError("series terms live on different grids")
     ops = _collision_ops(grid, case.kernel, case.breakage)
     f0 = _projected(case.init, grid)
-    return TimePoly(grid, _checked(_defect(ops, f0, terms), "series residual"))
+    theta = _poly_sum([term.coeffs for term in terms])
+    return TimePoly(grid, _checked(_defect(f0, theta, ops.collide(theta, theta)), "series residual"))
 
 
 # --------------------------------------------------------------------------
@@ -294,43 +297,30 @@ def _at_nodes(coeffs: np.ndarray, xp: np.ndarray, nodes: tuple[np.ndarray, np.nd
     return _interp_rows(sizes, xp, values.reshape((times.size,) + coeffs.shape[1:]))
 
 
-def _alpha_table(case: CaseSpec, grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """``A_j`` (``j >= 1``) and ``B_ij`` of ``_alpha_objective`` on the cells ``np.interp`` reads:
-    the monomials ``c_j t**j`` and ``collide(c_i, c_j) t**(i+j+1) / (i+j+1)``, each in its row of
-    a zero array, so Horner's rule gives ``v t ... t``, the doubles of zero-padded terms."""
+def _alpha_objective(case: CaseSpec, grid: Grid, order: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``averaged_residual`` for a 1-D array of alphas, from the cached alpha-free build.
+
+    HAM's partial sum is ``theta = sum_j w_j g_j`` over the alpha = -1 terms
+    ``g_j = c_j t**j`` (``w_0 = 1``, ``g_0 = f0``), and ``parent_pass`` and
+    ``partner_rates`` are linear, so theta's passes and rates are the rows' own
+    scaled by ``w``: one pass of the rows, kept on the cells ``np.interp`` reads,
+    serves every alpha, and each call forms theta's defect (``_defect``) there.
+    """
     nodes = _collocation(case, order)
     cells = _read_cells(grid, nodes[1])
-    xp = grid.midpoints[cells]
-    rows = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
-    n = order + 1
-    i, j = np.indices((n, n))
-    quadratic, linear = np.zeros((2 * n, n, n, cells.size)), np.zeros((n, order, cells.size))
-    # axes (i, j, cell): one collide of every row with every row, parents on i and partners on j
     ops = _collision_ops(grid, case.kernel, case.breakage)
-    pairs = ops.collide(rows[None, :, None], rows[None, None, :])[0][..., cells]
-    quadratic[i + j + 1, i, j] = pairs * (1.0 / (i + j + 1))[..., None]
-    linear[np.arange(1, n), np.arange(order)] = rows[1:, cells]
-    linear = _at_nodes(linear, xp, nodes).transpose(1, 0, 2)
-    quadratic = _at_nodes(quadratic, xp, nodes).transpose(1, 2, 0, 3)
-    return linear.reshape(order, -1), quadratic.reshape(n, n, -1)
-
-
-def _alpha_objective(case: CaseSpec, grid: Grid, order: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``averaged_residual`` as an explicit polynomial in alpha, for a 1-D array of alphas.
-
-    With the partial sum ``sum_j w_j g_j`` (``w_0 = 1``, ``g_0 = f0``) and a
-    bilinear ``collide``, the defect at the nodes is
-    ``sum_{j>=1} w_j A_j - sum_{i,j} w_i w_j B_ij``, where ``A_j`` samples
-    ``g_j`` and ``B_ij`` samples ``int_0^t C(g_i, g_j)``: the cached
-    alpha-free build and ``(order + 1)**2`` products fix every value.
-    """
-    linear, quadratic = _alpha_table(case, grid, order)
+    rows = _hpm_build(grid, case.kernel, case.breakage, case.init, order)
+    passes, rates = ops.parent_pass(rows)[..., cells], ops.partner_rates(rows)
+    rows, xp = rows[:, cells], grid.midpoints[cells]
 
     def objective(alpha: np.ndarray) -> np.ndarray:
         binomial, power = _ham_mixing(order, alpha)
-        w = power * sum(binomial)  # the weights of the partial sum: column sums
-        defect = w[1:].T @ linear - np.einsum("ia,ja,ijn->an", w, w, quadratic)
-        return np.mean(defect**2, axis=-1)
+        w = power * sum(binomial)  # the weights of the partial sum: column sums, (order + 1, alphas)
+        theta, scale = w[..., None] * rows[:, None], w[..., None, None]
+        # axes (time, alpha, rank, cell); the ranks sum in order, as in collide
+        conv = np.add.reduce(cauchy_product(scale * passes[:, None], scale * rates[:, None]), axis=-2)
+        samples = _at_nodes(_defect(rows[0], theta, conv), xp, nodes)
+        return np.mean(samples**2, axis=(0, 2))
 
     return objective
 
@@ -346,8 +336,8 @@ def optimize_alpha(case: CaseSpec, grid: Grid, order: int) -> AlphaResult:
 
     Every HAM partial sum is ``sum_j w_j(alpha) g_j`` over the alpha = -1
     (plain HPM) terms ``g_j``, with scalar weights of degree ``<= order`` in
-    alpha, so one alpha-free build fixes the objective at every alpha: an
-    explicit polynomial of degree ``4 * order`` (``_alpha_objective``).  Its
+    alpha, so one alpha-free build fixes the objective at every alpha: a
+    polynomial of degree ``4 * order`` (``_alpha_objective``).  Its
     Chebyshev interpolant at ``4 * order + 1`` nodes has its minimum at an
     endpoint or at a real root of its derivative.  Only these candidates are
     evaluated through ``averaged_residual`` (one HAM build each), and the

@@ -93,6 +93,8 @@ class TestKernels:
 
 class TestBreakage:
     def test_rejects_incomplete_ratios(self):
+        with pytest.raises(DomainError, match="at least one fragmentation ratio"):
+            DiscreteFragmentsBreakage(())
         with pytest.raises(DomainError):
             DiscreteFragmentsBreakage((Fraction(1, 2),))
 

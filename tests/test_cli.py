@@ -174,10 +174,11 @@ class TestSolveCommand:
             ([], "case=ex1\nmethod=ham\nalpha=abc\n", "error: cannot parse alpha='abc' as a number"),
             ([], "case=ex1\ncells\n", "run.cfg:2: expected key=value, got 'cells'"),
             ([], "case=ex1\ncells=abc\n", "error: bad value for config key 'cells': 'abc'"),
+            ([], "case=ex1\ntimes=,\n", "error: bad value for config key 'times': ','"),
             (["--config", "missing.cfg"], None, "error: cannot read config file missing.cfg"),
         ],
         ids=["negative-order", "one-cell", "config-alpha", "config-no-equals", "config-cells",
-             "config-missing"],
+             "config-empty-times", "config-missing"],
     )
     def test_bad_settings_are_usage_errors(self, tmp_path, capsys, monkeypatch, args, config,
                                            message):
@@ -202,6 +203,13 @@ class TestSolveCommand:
         )
         assert code == EXIT_USAGE
         assert "times" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_empty_times_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--case", "ex1", "--method", "fvm", "--times", ",", "--out", str(tmp_path / "x")])
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --times" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(

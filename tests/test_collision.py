@@ -285,8 +285,8 @@ def test_collide_sums_the_ranks_in_order(law, interpolated, kernel_id, rank, rng
 @pytest.mark.parametrize("interpolated", [False, True], ids=["cell", "interpolated"])
 @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
 def test_collide_broadcasts_over_stacked_pairs(law, interpolated, kernel_id, rank, rng):
-    # the alpha table collides every parent row with every partner row in one
-    # call; each pair must hold the doubles of its own collide
+    # collide broadcasts over stacked parent and partner axes; each pair of
+    # the stacked call must hold the doubles of its own collide
     grid = build_grid(6.0, 60)
     kernel = ProductKernel(1.0) if kernel_id == "product" else _custom_kernel(kernel_id, grid)
     op = CollisionOperator(birth_map(grid, law, interpolated=interpolated), kernel)

@@ -204,6 +204,8 @@ class TestIntegrate:
 
     def test_times_validation(self, ex1):
         grid = build_grid(ex1.rmax, 16)
+        with pytest.raises(DomainError, match="at least one output time"):
+            integrate(ex1, grid, ())
         with pytest.raises(DomainError):
             integrate(ex1, grid, (0.5, 1.0))
         with pytest.raises(DomainError):

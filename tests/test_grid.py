@@ -10,6 +10,7 @@ from cbelab import (
     DiscreteFragmentsBreakage,
     DomainError,
     ExponentialIC,
+    Grid,
     GridFunction,
     WeightedExponentialIC,
     build_grid,
@@ -36,6 +37,24 @@ class TestBuildGrid:
     def test_single_cell_rejected(self):
         with pytest.raises(DomainError):
             build_grid(1.0, 1)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([0.0, 1.0], "at least two cells"),
+            ([0.5, 1.0, 2.0], "first edge must be exactly 0"),
+            ([0.0, 1.0, 1.0], "strictly increasing"),
+            ([0.0, 2.0, 1.0], "strictly increasing"),
+        ],
+        ids=["one-cell", "first-edge", "repeated-edge", "decreasing-edge"],
+    )
+    def test_malformed_edges_rejected(self, edges, message):
+        with pytest.raises(DomainError, match=message):
+            Grid(edges=np.array(edges))
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(DomainError, match="unknown grid scheme 'hex'"):
+            build_grid(1.0, 4, scheme="hex")
 
     @pytest.mark.parametrize("scheme, eps", [("uniform", None), ("geometric", 1e-3)])
     @pytest.mark.parametrize("cells", [2**60 - 65, 10**19])
