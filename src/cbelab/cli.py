@@ -8,7 +8,6 @@ the only header line is a comment carrying the config hash.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -109,8 +108,9 @@ def _parse_cells(text: str) -> list[int]:
 
 def _setting(default=MISSING, *, parse=str, help=None, choices=None, flag=None):
     """A ``RunConfig`` field with the parser that reads it from flags and config
-    files alike, its help text and choices, and its flag (default ``--key``)."""
-    meta = {"parse": parse, "help": help, "choices": choices, "flag": flag}
+    files alike, its help text (default: its choices) and choices, and its flag
+    (default ``--key``)."""
+    meta = {"parse": parse, "help": help or f"one of {', '.join(choices)}", "choices": choices, "flag": flag}
     return field(default=default, metadata=meta)
 
 
@@ -227,19 +227,23 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def build_config(file_values: dict[str, str], cli_values: dict) -> RunConfig:
-    """Merge config-file entries with CLI flags; flags win."""
+def _parsed(parse, text: str, name: str):
+    """``text`` read by ``parse``; a text it refuses is a usage error naming ``name``."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise UsageError(f"bad value for {name}: {text!r}") from None
+
+
+def build_config(file_values: dict[str, str], flag_values: dict[str, str]) -> RunConfig:
+    """Merge ``key → text`` entries of a config file and of flags; flags win.  Both
+    go through each setting's parser and ``validated()`` alike."""
     merged: dict = {}
-    for key, value in file_values.items():
-        if key not in _SETTINGS:
-            raise UsageError(f"unknown config key {key!r}")
-        try:
-            merged[key] = _SETTINGS[key].metadata["parse"](value)
-        except ValueError:
-            raise UsageError(f"bad value for config key {key!r}: {value!r}") from None
-    for key, value in cli_values.items():
-        if value is not None:
-            merged[key] = value
+    for values, name in ((file_values, "config key {!r}".format), (flag_values, _flag)):
+        for key, text in values.items():
+            if key not in _SETTINGS:
+                raise UsageError(f"unknown config key {key!r}")
+            merged[key] = _parsed(_SETTINGS[key].metadata["parse"], text, name(key))
     if "case" not in merged:
         raise UsageError("missing case id in config")
     return RunConfig(**merged).validated()
@@ -371,9 +375,10 @@ class _Runs:
     share R = 20), so the series' operator and the projected initial condition
     are built once per grid and law.  The output times are ``_output_times``
     of ``times``: by default the 11 up to the horizon, which a series sums in
-    one ``truncated_sum`` call; table 1 asks for the horizon alone.  The FVM's
-    Taylor stages do not depend on the output times, and a series sum is
-    bit-identical per time, so the horizon profile is the same either way.
+    one ``truncated_sum`` call; table 1 asks for the horizon alone, except on
+    the figures' grid, whose run it shares.  The FVM's Taylor stages do not
+    depend on the output times, and a series sum is bit-identical per time, so
+    the horizon profile is the same either way.
     ham uses ``alpha``, or the case's published value when it is None.
     """
 
@@ -405,12 +410,13 @@ def _moment_block(case, method, times, profiles) -> tuple:
     return (case.id, method), (times, *moments_over_time(times, profiles).moments.T)
 
 
-def _eoc_block(case, method: str, cells, order: int, runs: _Runs) -> tuple:
+def _eoc_block(case, method: str, cells, order: int, runs: _Runs, shared: int | None = None) -> tuple:
     """Total-number error at the horizon on doubling grids, with its order; each run
-    is evaluated at 0 and the horizon only."""
+    is evaluated at 0 and the horizon only, except on the ``shared`` cell count,
+    whose run the figures read at the default output times."""
     errors = []
     for count in cells:
-        grid, profiles, _ = runs(case, method, order, count, (case.tend,))
+        grid, profiles, _ = runs(case, method, order, count, None if count == shared else (case.tend,))
         errors.append(number_error(profiles[-1], case, case.tend))
     orders = [None] + [eoc(a, b) for a, b in zip(errors, errors[1:])]
     return (case.id, method), (cells, errors, orders)
@@ -487,7 +493,7 @@ def cmd_eoc(config: RunConfig, cells: list[int]) -> int:
 # of ``_write_csv``; every method runs at the published control parameter.
 
 def _eoc_table(case, order, cells, runs) -> list[tuple]:
-    return [_eoc_block(case, method, _TABLE1_CELLS, order, runs) for method in _METHODS]
+    return [_eoc_block(case, method, _TABLE1_CELLS, order, runs, cells) for method in _METHODS]
 
 
 def _concentration_table(case, order, cells, runs) -> list[tuple]:
@@ -682,82 +688,105 @@ def cmd_validate(outdir: str | None) -> int:
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# command line
 # --------------------------------------------------------------------------
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    for key, setting in _SETTINGS.items():
-        meta = setting.metadata
-        parser.add_argument(
-            _flag(key), dest=key, type=meta["parse"], choices=meta["choices"], help=meta["help"]
-        )
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = load_config_file(args.config) if args.config else {}
-    return build_config(file_values, {key: getattr(args, key) for key in _SETTINGS})
-
-
-def _add_eoc_flags(parser: argparse.ArgumentParser) -> None:
-    _add_config_flags(parser)
-    parser.add_argument(
-        "--cell-list",
-        type=_parse_cells,
-        default=list(_TABLE1_CELLS),
-        help="comma-separated doubling cell counts",
-    )
-
-
-def _add_reproduce_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("target", help=f"all or one of {', '.join(_FIGURES)}")
-    parser.add_argument("--out", dest="outdir", default="reproduction")
-    parser.add_argument("--cells", type=int, default=RunConfig.cells)
-
-
-def _add_validate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", dest="outdir", default=None)
-
-
-# command: (help, the function that adds its arguments)
+_CONFIG = {"--config": ("config", str, None, "flat key=value config file; flags win")}
+# command: (help, its own arguments as {flag, or a positional's name: (key, parser,
+# default, help)}); a command that takes --config also takes one flag per setting
 _COMMANDS = {
-    "solve": ("run one case/method and emit tables", _add_config_flags),
-    "eoc": ("doubling-grid convergence table", _add_eoc_flags),
-    "reproduce": ("emit benchmark figure/table data", _add_reproduce_flags),
-    "optimize-alpha": ("minimise the averaged residual", _add_config_flags),
-    "validate": ("run oracle and invariant checks", _add_validate_flags),
+    "solve": ("run one case/method and emit tables", _CONFIG),
+    "eoc": ("doubling-grid convergence table", _CONFIG | {
+        "--cell-list": ("cell_list", _parse_cells, list(_TABLE1_CELLS), "comma-separated doubling cell counts")}),
+    "reproduce": ("emit benchmark figure/table data", {
+        "target": ("target", str, MISSING, f"all or one of {', '.join(_FIGURES)}"),
+        "--out": ("outdir", str, "reproduction", "output directory"),
+        "--cells": ("cells", int, RunConfig.cells, "grid cell count")}),
+    "optimize-alpha": ("minimise the averaged residual", _CONFIG),
+    "validate": ("run oracle and invariant checks", {"--out": ("outdir", str, None, "report directory")}),
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; given one of ``_COMMANDS``, only that subparser is built (every
-    subparser costs argparse's set-up), and the usage still lists all five."""
-    parser = argparse.ArgumentParser(
-        prog="cbelab",
-        description="Finite-volume and homotopy-series solvers for collision-induced breakage",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    only = command in _COMMANDS
-    # with one subparser the default metavar would list only its name
-    metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        if not only or name == command:
-            add_arguments(sub.add_parser(name, help=help_text))
-    return parser
+def _arguments(command: str) -> dict[str, tuple]:
+    """``command``'s own arguments, then, if it takes --config, one per setting."""
+    own = _COMMANDS[command][1]
+    if "--config" not in own:
+        return own
+    return own | {
+        _flag(key): (key, s.metadata["parse"], s.default, s.metadata["help"]) for key, s in _SETTINGS.items()
+    }
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "reproduce":
-        return cmd_reproduce(args.target, args.outdir, args.cells)
-    if args.command == "validate":
-        return cmd_validate(args.outdir)
-    config = _config_from_args(args)
-    _reject_unread(args.command, config)
-    if args.command == "solve":
+def _help(command: str | None) -> str:
+    """The top-level help, or ``command``'s, from ``_COMMANDS`` and ``_SETTINGS``."""
+    if command is None:
+        usage = "[-h] [--version] COMMAND ..."
+        about = "Finite-volume and homotopy-series solvers for collision-induced breakage"
+        rows = [(name, text) for name, (text, _) in _COMMANDS.items()]
+        rows += [("-h, --help", "show this help; after COMMAND, its help"), ("--version", "show the version")]
+    else:
+        arguments = _arguments(command)
+        names = [name for name in arguments if not name.startswith("-")]
+        usage = " ".join([command, *map(str.upper, names), "[--FLAG VALUE ...]"])
+        about = f"{_COMMANDS[command][0]}; --FLAG=VALUE also works, and a repeated flag's last value wins"
+        rows = [(name.upper() if name in names else f"{name} {key.upper()}", text)
+                for name, (key, *_, text) in arguments.items()] + [("-h, --help", "show this help")]
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([f"usage: cbelab {usage}", "", about, "", *(f"  {a:<{width}}{b}" for a, b in rows)])
+
+
+def _read_arguments(command: str, args: list[str]) -> tuple[dict, dict[str, str]]:
+    """``command``'s own arguments from ``args``, parsed or at their defaults, and the
+    ``key → text`` entries of its setting flags.  ``--flag value`` and
+    ``--flag=value`` give the same entry, and the last of a repeated flag wins."""
+    arguments = _arguments(command)
+    keys = {name: key for name, (key, *_) in arguments.items()}
+    names = [name for name in arguments if not name.startswith("-")]
+    texts, rest = {}, iter(args)
+    for arg in rest:
+        if not arg.startswith("-"):
+            if not names:
+                raise UsageError(f"unexpected argument {arg!r} for {command}")
+            texts[keys[names.pop(0)]] = arg
+            continue
+        name, equals, text = arg.partition("=")
+        if name not in keys:
+            raise UsageError(f"unknown flag {name} for {command}")
+        if not equals:
+            text = next(rest, None)
+            if text is None or text.startswith("--"):
+                raise UsageError(f"{name} needs a value")
+        texts[keys[name]] = text
+    values = {}
+    for name, (key, parse, default, _) in _COMMANDS[command][1].items():
+        if key not in texts and default is MISSING:
+            raise UsageError(f"{command} needs a {name}")
+        values[key] = _parsed(parse, texts.pop(key), name) if key in texts else default
+    return values, texts
+
+
+def _dispatch(argv: list[str]) -> int:
+    command = argv[0] if argv else None
+    if command in ("-h", "--help", "--version"):
+        print(f"cbelab {__version__}" if command == "--version" else _help(None))
+        return EXIT_OK
+    if command not in _COMMANDS:
+        problem = f"unknown command {command!r}" if argv else "missing command"
+        raise UsageError(f"{problem}; choose one of {', '.join(_COMMANDS)}")
+    if {"-h", "--help"} & set(argv):
+        print(_help(command))
+        return EXIT_OK
+    values, texts = _read_arguments(command, argv[1:])
+    if command == "reproduce":
+        return cmd_reproduce(values["target"], values["outdir"], values["cells"])
+    if command == "validate":
+        return cmd_validate(values["outdir"])
+    config = build_config(load_config_file(values["config"]) if values["config"] else {}, texts)
+    _reject_unread(command, config)
+    if command == "solve":
         return cmd_solve(config)
-    if args.command == "eoc":
-        return cmd_eoc(config, args.cell_list)
+    if command == "eoc":
+        return cmd_eoc(config, values["cell_list"])
     if config.method == "fvm":
         config = replace(config, method="ham")
     return cmd_optimize_alpha(config)
@@ -765,22 +794,18 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # overflow is caught as a non-finite value before any output
         with np.errstate(over="ignore", invalid="ignore"):
-            return _dispatch(args)
+            return _dispatch(argv)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except CbelabError as exc:
+    except (CbelabError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

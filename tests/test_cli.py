@@ -15,9 +15,8 @@ import cbelab
 from cbelab import DivergenceError, NumericalError, StiffnessError
 from cbelab.cli import (
     _FIGURES as FIGURES,
-    _build_parser,
-    _config_from_args,
     _flag,
+    _read_arguments,
     _text,
     _write_csv,
     EXIT_NUMERICAL,
@@ -42,7 +41,7 @@ class TestConfig:
     def test_file_then_cli_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("case=ex1\nmethod=fvm\ncells=64\n# comment\n")
-        config = build_config(load_config_file(str(cfg)), {"cells": 32})
+        config = build_config(load_config_file(str(cfg)), {"cells": "32"})
         assert config.case == "ex1"
         assert config.cells == 32
 
@@ -206,10 +205,10 @@ class TestSolveCommand:
         assert not (tmp_path / "x").exists()
 
     def test_empty_times_flag_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--case", "ex1", "--method", "fvm", "--times", ",", "--out", str(tmp_path / "x")])
-        assert exc.value.code == EXIT_USAGE
-        assert "argument --times" in capsys.readouterr().err
+        argv = ["solve", "--case", "ex1", "--method", "fvm", "--times", ",", "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "--times" in line
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
@@ -234,9 +233,9 @@ class TestSolveCommand:
         assert not (tmp_path / "x").exists()
 
     def test_times_checked_against_overridden_horizon(self):
-        assert build_config({}, {"case": "ex1", "tend": 2.0, "times": (0.0, 1.5)})
+        assert build_config({}, {"case": "ex1", "tend": "2.0", "times": "0,1.5"})
         with pytest.raises(UsageError, match="horizon"):
-            build_config({}, {"case": "ex1", "tend": 0.5, "times": (0.0, 0.75)})
+            build_config({}, {"case": "ex1", "tend": "0.5", "times": "0,0.75"})
 
     @pytest.mark.parametrize("method", ["fvm", "ahpm"])
     def test_times_past_a_short_horizon_are_usage_errors(self, tmp_path, capsys, method):
@@ -379,15 +378,16 @@ class TestEocCommand:
         assert "error: need at least two cell counts" in capsys.readouterr().err
 
     def test_malformed_cell_list_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "eoc", "--case", "ex1", "--method", "fvm",
-                    "--cell-list", "30,abc", "--out", str(tmp_path / "x"),
-                ]
-            )
-        assert exc.value.code == EXIT_USAGE
-        assert "--cell-list" in capsys.readouterr().err
+        code = main(
+            [
+                "eoc", "--case", "ex1", "--method", "fvm",
+                "--cell-list", "30,abc", "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "--cell-list" in line
+        assert not (tmp_path / "x").exists()
 
     def test_requires_exact_concentration(self, tmp_path):
         code = main(
@@ -505,12 +505,113 @@ def test_flag_and_config_file_parse_alike(tmp_path, key):
     if key == "eps_min":
         texts["grid_scheme"] = "geometric"  # uniform grids do not read it
     flags = [f"{_flag(k)}={text}" for k, text in texts.items()]
-    from_flags = _config_from_args(_build_parser().parse_args(["solve", *flags]))
+    from_flags = build_config({}, _read_arguments("solve", flags)[1])
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{k}={text}\n" for k, text in texts.items()))
-    from_file = _config_from_args(_build_parser().parse_args(["solve", "--config", str(cfg)]))
+    values, entries = _read_arguments("solve", ["--config", str(cfg)])
+    assert entries == {}
+    from_file = build_config(load_config_file(values["config"]), entries)
     assert from_flags == from_file
     assert from_flags != RunConfig(case="ex1")
+
+
+# every flag each command accepts
+_SETTING_FLAGS = [
+    "--case", "--method", "--order", "--cells", "--grid-scheme", "--eps-min", "--alpha", "--rmax",
+    "--tend", "--times", "--out",
+]
+_COMMAND_FLAGS = {
+    "solve": ["--config", *_SETTING_FLAGS],
+    "eoc": ["--config", "--cell-list", *_SETTING_FLAGS],
+    "reproduce": ["--out", "--cells"],
+    "optimize-alpha": ["--config", *_SETTING_FLAGS],
+    "validate": ["--out"],
+}
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--case", "ex1", "--bogus", "3"], "error: unknown flag --bogus for solve"),
+            (["solve", "--case", "ex1", "--cell", "40"], "error: unknown flag --cell for solve"),
+            (["reproduce", "all", "--case", "ex1"], "error: unknown flag --case for reproduce"),
+            (["solve", "--case"], "error: --case needs a value"),
+            (["solve", "--cells", "--case", "ex1"], "error: --cells needs a value"),
+            (["solve", "ex1", "--case", "ex1"], "error: unexpected argument 'ex1' for solve"),
+            (["reproduce", "--cells", "40"], "error: reproduce needs a target"),
+            (["reproduce", "all", "--cells", "abc"], "error: bad value for --cells: 'abc'"),
+            (["frobnicate"], "error: unknown command 'frobnicate'; choose one of solve, eoc, reproduce, "
+                             "optimize-alpha, validate"),
+            ([], "error: missing command; choose one of solve, eoc, reproduce, optimize-alpha, validate"),
+        ],
+        ids=["unknown-flag", "flag-prefix", "flag-of-another-command", "no-value", "flag-as-value",
+             "extra-argument", "no-target", "bad-own-value", "unknown-command", "no-command"],
+    )
+    def test_bad_command_lines_are_usage_errors(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message] and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_flag_and_bad_config_entry_take_one_path(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("case=ex1\ncells=abc\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert main(["solve", "--case", "ex1", "--cells", "abc", "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad value for config key 'cells': 'abc'",
+            "error: bad value for --cells: 'abc'",
+        ]
+
+    @pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+    def test_equals_form_reads_as_the_spaced_form(self, command):
+        flags = [flag for flag in _COMMAND_FLAGS[command] if flag != "--config"]
+        spaced = [command] + [word for flag in flags for word in (flag, "-5")]
+        joined = [command] + [f"{flag}=-5" for flag in flags]
+        # reproduce's target, then every flag; a value may start with a single dash
+        if command == "reproduce":
+            spaced.insert(1, "all")
+            joined.insert(1, "all")
+        assert _read_arguments(command, spaced[1:]) == _read_arguments(command, joined[1:])
+
+    def test_value_runs_from_the_first_equals_sign(self):
+        assert _read_arguments("solve", ["--case=a=b"]) == ({"config": None}, {"case": "a=b"})
+        empty = _read_arguments("solve", ["--case=", "--out", "-x"])
+        assert empty == ({"config": None}, {"case": "", "outdir": "-x"})
+
+    def test_repeated_flag_takes_its_last_value(self, tmp_path):
+        values, texts = _read_arguments("eoc", ["--cells", "20", "--cell-list", "10,20", "--cells=30",
+                                                "--cell-list", "30,60"])
+        assert texts == {"cells": "30"} and values["cell_list"] == [30, 60]
+        out = tmp_path / "x"
+        assert main(["solve", "--case", "ex9", "--case", "ex1", "--cells", "1", "--cells", "20",
+                     "--out", str(out)]) == EXIT_OK
+        assert main(["solve", "--case", "ex1", "--cells", "20", "--out", str(tmp_path / "y")]) == EXIT_OK
+        assert (out / "concentration.csv").read_bytes() == (tmp_path / "y" / "concentration.csv").read_bytes()
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == EXIT_OK
+        assert capsys.readouterr().out == f"cbelab {cbelab.__version__}\n"
+
+    def test_top_level_help_names_every_command(self, capsys):
+        for flag in ("-h", "--help"):
+            assert main([flag]) == EXIT_OK
+            listed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+            assert listed == [*_COMMAND_FLAGS, "-h,", "--version"]
+
+    @pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+    def test_command_help_names_every_flag(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        # help wins over anything else on the line, and runs nothing
+        assert main([command, "--case", "ex9", "--help"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and list(tmp_path.iterdir()) == []
+        listed = [line.split()[0] for line in captured.out.splitlines() if line.startswith("  -")]
+        assert listed == _COMMAND_FLAGS[command] + ["-h,"]
+        assert main([command, "-h"]) == EXIT_OK
+        assert capsys.readouterr().out == captured.out
 
 
 class TestReproduceCommand:
@@ -576,6 +677,10 @@ class TestReproduceSharesRuns:
         assert main(["reproduce", "all", "--out", str(tmp_path), "--cells", "40"]) == EXIT_OK
         # table1: four grids per method; ex1, ex2 and ex3 one run per method each
         assert calls == {"integrate": 7, "ham_terms": 7, "ahpm_terms": 7}
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["reproduce", "all", "--out", str(tmp_path / "60"), "--cells", "60"]) == EXIT_OK
+        # on table 1's second grid the ex1 figures read table 1's runs
+        assert calls == {"integrate": 6, "ham_terms": 6, "ahpm_terms": 6}
 
     @pytest.mark.parametrize("figure", list(FIGURES))
     def test_single_figure_matches_all(self, tmp_path, reproduce_all, figure):
@@ -586,8 +691,8 @@ class TestReproduceSharesRuns:
 
     @pytest.mark.parametrize("figure", ["table1", "fig2", "fig7"])
     def test_figure_on_a_table1_grid_matches_all(self, tmp_path, reproduce_all_60, figure):
-        # at 60 cells the ex1 figures run on table 1's second grid: table 1 reads the
-        # horizon alone, fig2 all 11 times, and both share the grid and its setup
+        # at 60 cells the ex1 figures run on table 1's second grid: table 1 runs it at
+        # the figures' 11 times, and a figure alone gives the same bytes
         assert main(["reproduce", figure, "--out", str(tmp_path), "--cells", "60"]) == EXIT_OK
         (alone,) = (tmp_path / figure).iterdir()
         assert (reproduce_all_60 / figure / alone.name).read_bytes() == alone.read_bytes()
@@ -928,15 +1033,16 @@ def test_import_pulls_in_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def _main_loads(tmp_path, argv: str, module: str) -> list[str]:
+def _main_loads(tmp_path, argv: str, *modules: str) -> list[str]:
     """Run ``main(argv)`` in a fresh interpreter, in which ``import cbelab.cli``
-    must not load ``module``; return the exit code and whether ``main`` loaded it."""
+    must load none of ``modules``; return the exit code and whether ``main``
+    loaded each."""
     code = (
         "import sys\n"
         "from cbelab.cli import main\n"
-        f"assert {module!r} not in sys.modules\n"
+        f"assert not [m for m in {modules!r} if m in sys.modules]\n"
         "code = main(sys.argv[1:])\n"
-        f"print(code, {module!r} in sys.modules)"
+        f"print(code, *(m in sys.modules for m in {modules!r}))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cbelab.__file__).parents[1]))
     result = subprocess.run(
@@ -944,7 +1050,7 @@ def _main_loads(tmp_path, argv: str, module: str) -> list[str]:
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     # optimize-alpha prints its result line first
-    return result.stdout.split()[-2:]
+    return result.stdout.split()[-1 - len(modules):]
 
 
 @pytest.mark.parametrize(
@@ -978,3 +1084,18 @@ def test_commands_load_no_openssl(tmp_path, argv):
     # is left out: its np.random.default_rng imports numpy.random, which
     # imports secrets -> hmac -> _hashlib
     assert _main_loads(tmp_path, argv, "_hashlib") == [str(EXIT_OK), "False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --case ex1 --method fvm --cells 40",
+        "solve --case ex1 --method ham --alpha auto --cells 40",
+        "reproduce fig1 --cells 40",
+    ],
+)
+def test_commands_load_no_argparse(tmp_path, argv):
+    # the settings table reads the command line: argparse, and the gettext and
+    # locale modules it pulls in for its messages, cost a fresh process about 5 ms
+    loaded = _main_loads(tmp_path, argv, "argparse", "gettext", "locale")
+    assert loaded == [str(EXIT_OK), "False", "False", "False"]

@@ -164,9 +164,11 @@ _GAIN_LOSS = {
 
 class TestCollisionOperators:
     # the birth and the death closed forms of one case meet in one sum: collide
-    # applies gain and loss together
-    @staticmethod
-    def _matches_closed_form(case):
+    # applies gain and loss together.  ex1 holds the product kernel and the
+    # mass-uniform birth, ex3 the constant kernel and the discrete fragments
+    @pytest.mark.parametrize("case_id", ["ex1", "ex3"])
+    def test_collide_matches_closed_form(self, case_id):
+        case = registry_case(case_id)
         grid = build_grid(20.0, 2000)
         f0 = project_initial(case.init, grid).values
         out = GridFunction(grid, series_operator(case, grid).collide(f0[None], f0[None])[0])
@@ -179,22 +181,10 @@ class TestCollisionOperators:
         f0 = project_initial(ex1.init, grid).values
         assert np.all(series_operator(ex1, grid).collide(f0[None], np.zeros((1, 32))) == 0.0)
 
-    def test_death_product_kernel_closed_form(self, ex1):
-        self._matches_closed_form(ex1)
-
-    def test_death_constant_kernel_closed_form(self, ex3):
-        self._matches_closed_form(ex3)
-
     def test_birth_of_zero_parents(self, ex1):
         grid = build_grid(ex1.rmax, 32)
         f0 = project_initial(ex1.init, grid).values
         assert np.all(series_operator(ex1, grid).collide(np.zeros((1, 32)), f0[None]) == 0.0)
-
-    def test_birth_mass_uniform_closed_form(self, ex1):
-        self._matches_closed_form(ex1)
-
-    def test_birth_discrete_fragments_closed_form(self, ex3):
-        self._matches_closed_form(ex3)
 
 
 class TestHamSeries:

@@ -27,7 +27,8 @@ run() {
 
 run reproduce-40 reproduce all --cells 40
 run reproduce-300 reproduce all --cells 300
-# a figure grid equal to a table-1 grid: table 1 reads the horizon alone, fig2 all 11 times
+# a figure grid equal to a table-1 grid: table 1 runs it at the figures' 11 times, and
+# the ex1 figures read those runs
 run reproduce-60 reproduce all --cells 60
 # too few cells: exit code 2 before any file is written
 run reproduce-all-cells1 reproduce all --cells 1
@@ -99,9 +100,16 @@ run solve-ex9 solve --case ex9
 # a grid too large to allocate: exit code 2 and one "error:" line, failing before
 # any memory is taken
 run solve-ex1-fvm-cells1e18 solve --case ex1 --method fvm --cells 1000000000000000000
-# help texts, and an unknown command: exit code 2 and argparse's usage error
+# help texts and the version: exit code 0
 run help --help
 for command in solve eoc reproduce optimize-alpha validate; do
     run "help-$command" "$command" --help
 done
+run version --version
+# flags in the --flag=value form: the same files as the --flag value form
+run solve-ex1-fvm-equals solve --case=ex1 --method=fvm --cells=40
+# command-line errors: exit code 2 and a stderr of one "error:" line
 run unknown-command frobnicate
+run unknown-flag solve --case ex1 --bogus 3
+run flag-without-value solve --case ex1 --cells
+run solve-ex1-times-empty solve --case ex1 --times ,
